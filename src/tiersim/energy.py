@@ -161,9 +161,6 @@ class EnergyLedger:
         )
         self.total_mj += energy_mj
 
-    def total_for(self, node_id: str) -> float:
-        return sum(e.energy_mj for e in self.entries if e.node_id == node_id)
-
 
 def debit(
     battery: BatteryState,

@@ -72,7 +72,6 @@ class Message:
     src: str
     dst: str
     send_time_ms: float
-    payload_kb: float = 0.0
     battery_pct: float | None = None
     request_send_time_ms: float | None = None  # echoed in every response
     mode: InferenceMode | None = None  # commanded mode for mode-command
@@ -152,20 +151,28 @@ def measure_latency(response: Message, now_ms: float) -> float:
 
 
 @dataclass
-class GatewayTier:
-    """The gateway: inference queue, per-node histories, pending node commands."""
+class Tier:
+    """One offboard inference tier: a FIFO request queue and per-node histories."""
 
-    mode: InferenceMode = InferenceMode.GATEWAY
-    service_ms: float = 0.0
+    mode: InferenceMode
+    service_ms: float
+    depth: int
     queue: deque[Message] = field(default_factory=deque)
     busy: bool = False
     trackers: dict[str, AnomalyTracker] = field(default_factory=dict)
+
+    def reset(self, node_id: str) -> None:
+        """Start the node's history afresh, as after a mode change."""
+        self.trackers[node_id] = new_tracker(self.depth)
+
+
+@dataclass
+class Gateway(Tier):
+    """The gateway tier, which also holds pending node commands and its device properties."""
+
     pending_commands: dict[str, deque[PropertyCommand]] = field(default_factory=dict)
     gateway_id: str = "gateway-0"
     provisioned_nodes: list[str] = field(default_factory=list)
-
-    def queue_len(self) -> int:
-        return len(self.queue)
 
     def apply_command(self, cmd: PropertyCommand) -> tuple[str, object | None]:
         """Handle a gateway-targeted property command; returns (status, value)."""
@@ -185,20 +192,6 @@ class GatewayTier:
             self.provisioned_nodes = [str(v) for v in (cmd.value or [])]
             return "ok", None
         return "unknown-property", None
-
-
-@dataclass
-class CloudTier:
-    """The cloud: unbounded inference queue and per-node histories."""
-
-    mode: InferenceMode = InferenceMode.CLOUD
-    service_ms: float = 0.0
-    queue: deque[Message] = field(default_factory=deque)
-    busy: bool = False
-    trackers: dict[str, AnomalyTracker] = field(default_factory=dict)
-
-    def queue_len(self) -> int:
-        return len(self.queue)
 
 
 @dataclass(order=True)
@@ -225,8 +218,11 @@ class Simulator:
         self.ledger = EnergyLedger()
 
         self.nodes: dict[str, SensorNode] = {}
-        self.gateway = GatewayTier(service_ms=scenario.gateway_service_ms)
-        self.cloud = CloudTier(service_ms=scenario.cloud_service_ms)
+        gateway, cloud = InferenceMode.GATEWAY, InferenceMode.CLOUD
+        self.gateway = Gateway(gateway, scenario.gateway_service_ms,
+                               self.params.history_depth(gateway))
+        self.cloud = Tier(cloud, scenario.cloud_service_ms, self.params.history_depth(cloud))
+        self._tiers = (self.gateway, self.cloud)
         self._truth: dict[str, GroundTruthProcess] = {}
         self._oracles: dict[tuple[str, InferenceMode], ClassifierOracle] = {}
         self._pred_step: dict[str, int] = {}
@@ -250,8 +246,7 @@ class Simulator:
             sleep_period_ms=cfg.sleep_period_ms,
         )
         self.nodes[cfg.node_id] = node
-        self.gateway.trackers[cfg.node_id] = new_tracker(self.params.history_depth_gateway)
-        self.cloud.trackers[cfg.node_id] = new_tracker(self.params.history_depth_cloud)
+        self._reset_tiers(node)
         self.gateway.pending_commands[cfg.node_id] = deque()
         seed = self.scenario.seed
         self._truth[cfg.node_id] = GroundTruthProcess(
@@ -457,9 +452,12 @@ class Simulator:
             raise SimulationError(
                 f"illegal {previous.value}->{new_mode.value} transition from {origin}"
             )
-        self.gateway.trackers[node.node_id] = new_tracker(self.params.history_depth_gateway)
-        self.cloud.trackers[node.node_id] = new_tracker(self.params.history_depth_cloud)
+        self._reset_tiers(node)
         self._record(node, "mode-change", tracker=node.tracker, detail=origin)
+
+    def _reset_tiers(self, node: SensorNode) -> None:
+        for tier in self._tiers:
+            tier.reset(node.node_id)
 
     # -- offboard requests ------------------------------------------------
 
@@ -475,7 +473,6 @@ class Simulator:
             src=node.node_id,
             dst="gateway" if node.mode is InferenceMode.GATEWAY else "cloud",
             send_time_ms=self.clock.now_ms,
-            payload_kb=self.table.radio_tx.size_kb,
             battery_pct=node.battery.level_pct,
         )
         self._record(node, "request-send", detail=f"dst={request.dst}")
@@ -489,7 +486,7 @@ class Simulator:
             return
         self.schedule(self.clock.now_ms, "tier-arrival", node.node_id, request=request)
 
-    def _tier(self, name: str) -> GatewayTier | CloudTier:
+    def _tier(self, name: str) -> Tier:
         return self.gateway if name == "gateway" else self.cloud
 
     def _on_tier_arrival(self, ev: _Scheduled) -> None:
@@ -511,14 +508,14 @@ class Simulator:
         else:
             tier.busy = False
 
-    def _handle_prediction(self, tier: GatewayTier | CloudTier, request: Message) -> None:
+    def _handle_prediction(self, tier: Tier, request: Message) -> None:
         """Serve one queued request: predict, update history, run the heuristic."""
         node = self.nodes.get(request.src)
         if node is None:
             self._record(None, "request-dropped", node_id=request.src,
                          detail="unknown node")
             return
-        queue_len = tier.queue_len()
+        queue_len = len(tier.queue)
         step, truth = self._next_truth(node.node_id)
         prediction = self._oracles[(node.node_id, tier.mode)].predict(truth, step)
         tracker = heuristics.update_history(
@@ -622,10 +619,7 @@ class Simulator:
                          detail=_command_detail(cmd, response.status, response.value))
             if node.mode is not before:
                 # the SET already reset the node tracker; mirror it tier-side
-                self.gateway.trackers[node.node_id] = new_tracker(
-                    self.params.history_depth_gateway)
-                self.cloud.trackers[node.node_id] = new_tracker(
-                    self.params.history_depth_cloud)
+                self._reset_tiers(node)
                 self._record(node, "mode-change", tracker=node.tracker, detail="operator")
             if is_state_step:
                 self._after_lifecycle(node, event)

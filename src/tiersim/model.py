@@ -25,37 +25,13 @@ class SimulationError(RuntimeError):
 class InferenceMode(enum.Enum):
     """Where a node's predictions are computed.
 
-    The total order SENSOR < GATEWAY < CLOUD defines escalation (toward
-    the cloud) and de-escalation (toward the sensor).
+    Escalation moves a node toward the cloud, de-escalation toward the
+    sensor.
     """
 
     SENSOR = "S"
     GATEWAY = "G"
     CLOUD = "C"
-
-    @property
-    def rank(self) -> int:
-        return _MODE_RANK[self]
-
-    def __lt__(self, other: "InferenceMode") -> bool:
-        if not isinstance(other, InferenceMode):
-            return NotImplemented
-        return self.rank < other.rank
-
-    def __le__(self, other: "InferenceMode") -> bool:
-        if not isinstance(other, InferenceMode):
-            return NotImplemented
-        return self.rank <= other.rank
-
-    def __gt__(self, other: "InferenceMode") -> bool:
-        if not isinstance(other, InferenceMode):
-            return NotImplemented
-        return self.rank > other.rank
-
-    def __ge__(self, other: "InferenceMode") -> bool:
-        if not isinstance(other, InferenceMode):
-            return NotImplemented
-        return self.rank >= other.rank
 
     @classmethod
     def parse(cls, text: str) -> "InferenceMode":
@@ -63,9 +39,6 @@ class InferenceMode(enum.Enum):
             return cls(text)
         except ValueError:
             raise ConfigurationError(f"unknown inference mode {text!r}") from None
-
-
-_MODE_RANK = {InferenceMode.SENSOR: 0, InferenceMode.GATEWAY: 1, InferenceMode.CLOUD: 2}
 
 
 class NodeState(enum.Enum):

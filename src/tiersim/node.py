@@ -10,6 +10,7 @@ energy ledger is the engine's job.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .model import (
@@ -18,6 +19,7 @@ from .model import (
     ConfigurationError,
     InferenceMode,
     NodeState,
+    SimulationError,
     new_tracker,
 )
 from .energy import EnergyTable
@@ -52,10 +54,6 @@ class InvalidTransitionError(Exception):
         super().__init__(f"event {event.value} not valid in state {state.value}")
         self.state = state
         self.event = event
-
-
-class SimulationStateError(RuntimeError):
-    """A node was driven in a way its current state does not allow."""
 
 
 class PropertyMethod(enum.Enum):
@@ -222,7 +220,7 @@ class SensorNode:
                 period = float(value)  # type: ignore[arg-type]
             except (TypeError, ValueError):
                 return PropertyResponse("invalid-value")
-            if period < 0:
+            if not math.isfinite(period) or period < 0:
                 return PropertyResponse("invalid-value")
             self.sleep_period_ms = period  # takes effect from the next cycle
             return PropertyResponse("ok")
@@ -262,7 +260,7 @@ class SensorNode:
         on-device cycle (the only time such a node wakes its radio).
         """
         if self.state is not NodeState.WORKING:
-            raise SimulationStateError(
+            raise SimulationError(
                 f"node {self.node_id} cannot run a cycle in state {self.state.value}"
             )
         self.cycle_index += 1

@@ -148,7 +148,6 @@ class ClassifierOracle:
     profile: TierAccuracyProfile
     rng: random.Random
     anomaly_labels: frozenset[ConditionLabel] = DEFAULT_ANOMALY_LABELS
-    steps: int = 0
 
     @classmethod
     def create(
@@ -164,7 +163,6 @@ class ClassifierOracle:
 
     def predict(self, true_label: ConditionLabel, step: int) -> Prediction:
         label = predict_label(self.profile, true_label, self.rng)
-        self.steps += 1
         return Prediction(
             node_id=self.node_id,
             step=step,

@@ -8,11 +8,15 @@ minutes, anomaly probability 0.3, published heuristic thresholds).
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field, replace
+import math
+import types
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
-from .energy import EnergyTable, OperationCost
+from .energy import EnergyTable
 from .engine import LatencyModel
 from .model import (
     BatteryState,
@@ -22,19 +26,31 @@ from .model import (
     InferenceMode,
 )
 from .node import PropertyCommand, PropertyMethod
-from .oracle import DEFAULT_PROFILES, TierAccuracyProfile
-
-DEFAULT_DURATION_MS = 1_800_000.0  # 30 simulated minutes
-DEFAULT_SEED = 7
+from .oracle import DEFAULT_PROFILES, GroundTruthProcess, TierAccuracyProfile
 
 
 @dataclass(frozen=True)
 class NodeConfig:
     node_id: str = "node-0"
     initial_mode: str = "S"
-    battery_capacity_j: float = 18_648.0
-    battery_voltage_v: float = 3.7
+    battery_capacity_j: float = BatteryState.capacity_j
+    battery_voltage_v: float = BatteryState.voltage_v
     sleep_period_ms: float = 0.0  # back-to-back windows; battery studies use 30 s
+
+    def __post_init__(self) -> None:
+        if not self.node_id or any(c in self.node_id for c in ",\n\r"):
+            raise ConfigurationError(
+                f"node id {self.node_id!r} must be non-empty and free of "
+                "commas/newlines (it names CSV rows)"
+            )
+        InferenceMode.parse(self.initial_mode)
+        if self.battery_capacity_j < 0:
+            raise ConfigurationError(
+                f"battery_capacity_j must be >= 0, got {self.battery_capacity_j}"
+            )
+        if self.sleep_period_ms < 0:
+            raise ConfigurationError(f"sleep_period_ms must be >= 0, got {self.sleep_period_ms}")
+        self.make_battery()  # the battery's own checks, such as voltage > 0
 
     def make_battery(self) -> BatteryState:
         return BatteryState(capacity_j=self.battery_capacity_j,
@@ -49,6 +65,11 @@ class TimedCommand:
     method: str
     value: object | None = None
 
+    def __post_init__(self) -> None:
+        if self.at_ms < 0:
+            raise ConfigurationError(f"at_ms must be >= 0, got {self.at_ms}")
+        self.to_property_command()  # rejects an unknown method
+
     def to_property_command(self) -> PropertyCommand:
         try:
             method = PropertyMethod(self.method)
@@ -62,8 +83,8 @@ class Scenario:
     """Validated inputs for one simulation run."""
 
     name: str = "scenario"
-    duration_ms: float = DEFAULT_DURATION_MS
-    seed: int = DEFAULT_SEED
+    duration_ms: float = 1_800_000.0  # 30 simulated minutes
+    seed: int = 7
     nodes: tuple[NodeConfig, ...] = (NodeConfig(),)
     params: HeuristicParams = field(default_factory=HeuristicParams)
     energy: EnergyTable = field(default_factory=EnergyTable)
@@ -71,9 +92,9 @@ class Scenario:
     profiles: dict[InferenceMode, TierAccuracyProfile] = field(
         default_factory=lambda: dict(DEFAULT_PROFILES)
     )
-    anomaly_probability: float = 0.3
-    healthy_split: float = 0.5
-    degraded_split: float = 0.5
+    anomaly_probability: float = GroundTruthProcess.anomaly_probability
+    healthy_split: float = GroundTruthProcess.healthy_split
+    degraded_split: float = GroundTruthProcess.degraded_split
     anomaly_labels: tuple[int, ...] = (2, 3)
     poll_enabled: bool = True
     poll_every_cycles: int = 3
@@ -92,23 +113,9 @@ class Scenario:
             raise ConfigurationError(f"duration_ms must be >= 0, got {self.duration_ms}")
         seen = set()
         for cfg in self.nodes:
-            if not cfg.node_id or any(c in cfg.node_id for c in ",\n\r"):
-                raise ConfigurationError(
-                    f"node id {cfg.node_id!r} must be non-empty and free of "
-                    "commas/newlines (it names CSV rows)"
-                )
             if cfg.node_id in seen:
                 raise ConfigurationError(f"duplicate node id {cfg.node_id!r}")
             seen.add(cfg.node_id)
-            InferenceMode.parse(cfg.initial_mode)
-            if cfg.battery_capacity_j < 0:
-                raise ConfigurationError(
-                    f"node {cfg.node_id}: battery_capacity_j must be >= 0"
-                )
-            if cfg.sleep_period_ms < 0:
-                raise ConfigurationError(
-                    f"node {cfg.node_id}: sleep_period_ms must be >= 0"
-                )
         for mode in InferenceMode:
             if mode not in self.profiles:
                 raise ConfigurationError(f"missing accuracy profile for mode {mode.value}")
@@ -134,216 +141,128 @@ class Scenario:
         return frozenset(ConditionLabel(v) for v in self.anomaly_labels)
 
 
-# -- JSON loading ---------------------------------------------------------
+# -- JSON loading: the dataclasses above are the schema ---------------------
+
+#: JSON keys of the Scenario fields whose key is not the field name; a
+#: dotted key sits in a group object ("poll.enabled" is {"poll": {"enabled"}}).
+_SCENARIO_KEYS = {
+    "params": "heuristics",
+    "anomaly_probability": "ground_truth.anomaly_probability",
+    "healthy_split": "ground_truth.healthy_split",
+    "degraded_split": "ground_truth.degraded_split",
+    "poll_enabled": "poll.enabled",
+    "poll_every_cycles": "poll.every_cycles",
+    "empty_poll_fraction": "poll.empty_fraction",
+}
+
+#: Keys that a list entry takes, by its index, when it leaves them out.
+_ENTRY_DEFAULTS = {
+    NodeConfig: lambda i: {"node_id": f"node-{i}"},
+    TimedCommand: lambda i: {"at_ms": 0.0, "method": "SET"},
+}
 
 
-def _ctx(source: str, path: str, err: Exception) -> ConfigurationError:
-    return ConfigurationError(f"{source}: {path}: {err}")
+class _LocatedError(ConfigurationError):
+    """A load error whose message already names its JSON path."""
+
+    def __init__(self, source: str, path: str, err: object) -> None:
+        super().__init__(f"{source}: {path or 'top level'}: {err}")
 
 
-def _take(data: dict, key: str, default):
-    return data.pop(key) if key in data else default
+def _float(value, *_) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return number
 
 
-def _reject_unknown(data: dict, source: str, path: str) -> None:
-    if data:
-        raise ConfigurationError(
-            f"{source}: {path}: unknown field(s) {sorted(data)} (check spelling)"
-        )
+def _bool(value, *_) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"must be true or false, got {value!r}")
+    return value
 
 
-def _build_nodes(raw, source: str) -> tuple[NodeConfig, ...]:
-    nodes = []
-    for i, entry in enumerate(raw):
-        entry = dict(entry)
-        try:
-            nodes.append(
-                NodeConfig(
-                    node_id=str(_take(entry, "node_id", f"node-{i}")),
-                    initial_mode=str(_take(entry, "initial_mode", "S")),
-                    battery_capacity_j=float(_take(entry, "battery_capacity_j", 18_648.0)),
-                    battery_voltage_v=float(_take(entry, "battery_voltage_v", 3.7)),
-                    sleep_period_ms=float(_take(entry, "sleep_period_ms", 0.0)),
-                )
-            )
-        except (TypeError, ValueError) as err:
-            raise _ctx(source, f"nodes[{i}]", err) from None
-        _reject_unknown(entry, source, f"nodes[{i}]")
-    return tuple(nodes)
+#: Coercers of the scalar field types; each takes (value, source, path).
+_SCALARS = {float: _float, int: lambda value, *_: int(value), bool: _bool,
+            str: lambda value, *_: str(value), object: lambda value, *_: value}
 
 
-def _build_params(raw: dict, source: str) -> HeuristicParams:
-    raw = dict(raw)
-    defaults = HeuristicParams()
-    try:
-        params = HeuristicParams(
-            low_battery_pct=float(_take(raw, "low_battery_pct", defaults.low_battery_pct)),
-            sensor_escalate_count=int(_take(raw, "sensor_escalate_count",
-                                            defaults.sensor_escalate_count)),
-            gateway_deescalate_count=int(_take(raw, "gateway_deescalate_count",
-                                               defaults.gateway_deescalate_count)),
-            gateway_escalate_count=int(_take(raw, "gateway_escalate_count",
-                                             defaults.gateway_escalate_count)),
-            queue_limit=int(_take(raw, "queue_limit", defaults.queue_limit)),
-            cloud_deescalate_count=int(_take(raw, "cloud_deescalate_count",
-                                             defaults.cloud_deescalate_count)),
-            cloud_escalate_count=_take(raw, "cloud_escalate_count", None),
-            history_depth_sensor=int(_take(raw, "history_depth_sensor",
-                                           defaults.history_depth_sensor)),
-            history_depth_gateway=int(_take(raw, "history_depth_gateway",
-                                            defaults.history_depth_gateway)),
-            history_depth_cloud=int(_take(raw, "history_depth_cloud",
-                                          defaults.history_depth_cloud)),
-        )
-    except (TypeError, ValueError) as err:
-        raise _ctx(source, "heuristics", err) from None
-    _reject_unknown(raw, source, "heuristics")
-    return params
+def _coercer(tp, f):
+    """How a JSON value becomes field ``f`` of type ``tp``; None if it has no JSON form."""
+    if is_dataclass(tp):
+        base = f.default if isinstance(f.default, tp) else None
+        return lambda value, source, path: _load(tp, value, source, path, base)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is types.UnionType:  # X | None
+        item = _coercer(args[0], f)
+        return lambda value, source, path: None if value is None else item(value, source, path)
+    if origin is tuple:
+        item, start = _coercer(args[0], f), _ENTRY_DEFAULTS.get(args[0])
+        return lambda value, source, path: tuple(
+            item({**start(i), **v} if start and isinstance(v, dict) else v, source, f"{path}[{i}]")
+            for i, v in enumerate(value))
+    if origin is dict:  # an object keyed by enum value; each entry merges onto its default
+        defaults = f.default_factory()
+        table = {k.value: (k, lambda value, source, path, base=defaults[k]:
+                           _load(args[1], value, source, path, base)) for k in args[0]}
+        return lambda value, source, path: _collect(table, value, source, path, dict(defaults))
+    return _SCALARS.get(tp)
 
 
-def _build_cost(raw: dict, default: OperationCost, source: str, path: str) -> OperationCost:
-    raw = dict(raw)
-    try:
-        cost = OperationCost(
-            size_kb=float(_take(raw, "size_kb", default.size_kb)),
-            duration_ms=float(_take(raw, "duration_ms", default.duration_ms)),
-            energy_mj=float(_take(raw, "energy_mj", default.energy_mj)),
-        )
-    except (TypeError, ValueError) as err:
-        raise _ctx(source, path, err) from None
-    _reject_unknown(raw, source, path)
-    return cost
-
-
-def _build_energy(raw: dict, source: str) -> EnergyTable:
-    raw = dict(raw)
-    defaults = EnergyTable()
-    try:
-        table = EnergyTable(
-            sampling=_build_cost(_take(raw, "sampling", {}), defaults.sampling,
-                                 source, "energy.sampling"),
-            local_inference=_build_cost(_take(raw, "local_inference", {}),
-                                        defaults.local_inference, source,
-                                        "energy.local_inference"),
-            compression=_build_cost(_take(raw, "compression", {}), defaults.compression,
-                                    source, "energy.compression"),
-            radio_tx=_build_cost(_take(raw, "radio_tx", {}), defaults.radio_tx,
-                                 source, "energy.radio_tx"),
-            deep_sleep_current_ua=float(_take(raw, "deep_sleep_current_ua",
-                                              defaults.deep_sleep_current_ua)),
-            supply_voltage_v=float(_take(raw, "supply_voltage_v",
-                                         defaults.supply_voltage_v)),
-        )
-    except (TypeError, ValueError) as err:
-        raise _ctx(source, "energy", err) from None
-    _reject_unknown(raw, source, "energy")
+@functools.cache
+def _table(cls) -> dict:
+    """JSON key -> (field name, coercer) for ``cls``; a group maps to a nested table."""
+    hints = get_type_hints(cls)
+    keys = _SCENARIO_KEYS if cls is Scenario else {}
+    table: dict = {}
+    for f in fields(cls):
+        coerce = _coercer(hints[f.name], f)
+        if coerce is None:
+            continue  # set by the document's structure: a profile's tier is its key
+        group, _, key = keys.get(f.name, f.name).rpartition(".")
+        (table.setdefault(group, {}) if group else table)[key] = (f.name, coerce)
     return table
 
 
-def _build_latency(raw: dict, source: str) -> LatencyModel:
-    raw = dict(raw)
-    defaults = LatencyModel()
+def _collect(table: dict, raw, source: str, path: str, kwargs: dict) -> dict:
+    """Coerce the keys of the JSON object ``raw`` by ``table`` into ``kwargs``."""
+    if not isinstance(raw, dict):
+        raise _LocatedError(source, path, f"expected a JSON object, got {type(raw).__name__}")
+    unknown = raw.keys() - table.keys()
+    if unknown:
+        raise _LocatedError(source, path, f"unknown field(s) {sorted(unknown)} (check spelling)")
+    for key, value in raw.items():
+        entry = table[key]
+        where = f"{path}.{key}" if path else key
+        if isinstance(entry, dict):  # a group object: its keys are fields of this class
+            _collect(entry, value, source, where, kwargs)
+            continue
+        name, coerce = entry
+        try:
+            kwargs[name] = coerce(value, source, where)
+        except _LocatedError:
+            raise
+        except (TypeError, ValueError, OverflowError) as err:  # int(inf), float(10**400)
+            raise _LocatedError(source, where, err) from None
+    return kwargs
+
+
+def _load(cls, raw, source: str, path: str, base=None):
+    """Build ``cls`` from the JSON object ``raw`` found at ``path``.
+
+    Only the keys present are passed on, so an absent key keeps the
+    field's default, or ``base``'s value when ``base`` is given.
+    """
+    kwargs = _collect(_table(cls), raw, source, path, {})
     try:
-        model = LatencyModel(
-            sensor_ms=float(_take(raw, "sensor_ms", defaults.sensor_ms)),
-            gateway_ms=float(_take(raw, "gateway_ms", defaults.gateway_ms)),
-            cloud_ms=float(_take(raw, "cloud_ms", defaults.cloud_ms)),
-            jitter_sensor_ms=float(_take(raw, "jitter_sensor_ms", 0.0)),
-            jitter_gateway_ms=float(_take(raw, "jitter_gateway_ms", 0.0)),
-            jitter_cloud_ms=float(_take(raw, "jitter_cloud_ms", 0.0)),
-        )
+        return cls(**kwargs) if base is None else replace(base, **kwargs)
     except (TypeError, ValueError) as err:
-        raise _ctx(source, "latency", err) from None
-    _reject_unknown(raw, source, "latency")
-    return model
-
-
-def _build_profiles(raw: dict, source: str) -> dict[InferenceMode, TierAccuracyProfile]:
-    profiles = dict(DEFAULT_PROFILES)
-    for key, entry in raw.items():
-        mode = InferenceMode.parse(key)
-        entry = dict(entry)
-        try:
-            profiles[mode] = TierAccuracyProfile(
-                tier=mode,
-                accuracy=float(_take(entry, "accuracy", DEFAULT_PROFILES[mode].accuracy)),
-                recall_per_class=tuple(
-                    float(r) for r in _take(entry, "recall_per_class",
-                                            DEFAULT_PROFILES[mode].recall_per_class)
-                ),
-            )
-        except (TypeError, ValueError) as err:
-            raise _ctx(source, f"profiles.{key}", err) from None
-        _reject_unknown(entry, source, f"profiles.{key}")
-    return profiles
-
-
-def _build_commands(raw, source: str) -> tuple[TimedCommand, ...]:
-    commands = []
-    for i, entry in enumerate(raw):
-        entry = dict(entry)
-        try:
-            cmd = TimedCommand(
-                at_ms=float(_take(entry, "at_ms", 0.0)),
-                node_id=str(entry.pop("node_id")),
-                name=str(entry.pop("name")),
-                method=str(_take(entry, "method", "SET")),
-                value=_take(entry, "value", None),
-            )
-            cmd.to_property_command()  # validates the method name
-        except KeyError as err:
-            raise ConfigurationError(
-                f"{source}: commands[{i}]: missing required field {err}"
-            ) from None
-        except (TypeError, ValueError) as err:
-            raise _ctx(source, f"commands[{i}]", err) from None
-        _reject_unknown(entry, source, f"commands[{i}]")
-        commands.append(cmd)
-    return tuple(commands)
+        raise _LocatedError(source, path, err) from None
 
 
 def scenario_from_dict(data: dict, source: str = "<scenario>") -> Scenario:
     """Build and validate a Scenario from parsed JSON, defaulting omitted fields."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{source}: top level must be a JSON object")
-    data = dict(data)
-    ground_truth = dict(_take(data, "ground_truth", {}))
-    poll = dict(_take(data, "poll", {}))
-    out_dir = _take(data, "out_dir", None)
-    try:
-        scenario = Scenario(
-            name=str(_take(data, "name", "scenario")),
-            duration_ms=float(_take(data, "duration_ms", DEFAULT_DURATION_MS)),
-            seed=int(_take(data, "seed", DEFAULT_SEED)),
-            nodes=_build_nodes(_take(data, "nodes", [{}]), source),
-            params=_build_params(_take(data, "heuristics", {}), source),
-            energy=_build_energy(_take(data, "energy", {}), source),
-            latency=_build_latency(_take(data, "latency", {}), source),
-            profiles=_build_profiles(_take(data, "profiles", {}), source),
-            anomaly_probability=float(_take(ground_truth, "anomaly_probability", 0.3)),
-            healthy_split=float(_take(ground_truth, "healthy_split", 0.5)),
-            degraded_split=float(_take(ground_truth, "degraded_split", 0.5)),
-            anomaly_labels=tuple(int(v) for v in _take(data, "anomaly_labels", (2, 3))),
-            poll_enabled=bool(_take(poll, "enabled", True)),
-            poll_every_cycles=int(_take(poll, "every_cycles", 3)),
-            empty_poll_fraction=float(_take(poll, "empty_fraction", 0.1)),
-            gateway_service_ms=float(_take(data, "gateway_service_ms", 0.0)),
-            cloud_service_ms=float(_take(data, "cloud_service_ms", 0.0)),
-            provisioning_stage_ms=float(_take(data, "provisioning_stage_ms", 100.0)),
-            adaptive=bool(_take(data, "adaptive", True)),
-            drop_probability=float(_take(data, "drop_probability", 0.0)),
-            request_timeout_ms=float(_take(data, "request_timeout_ms", 10_000.0)),
-            commands=_build_commands(_take(data, "commands", []), source),
-            out_dir=None if out_dir is None else str(out_dir),
-        )
-    except ConfigurationError:
-        raise
-    except (TypeError, ValueError) as err:
-        raise ConfigurationError(f"{source}: {err}") from None
-    _reject_unknown(ground_truth, source, "ground_truth")
-    _reject_unknown(poll, source, "poll")
-    _reject_unknown(data, source, "top level")
-    return scenario
+    return _load(Scenario, data, source, "")
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -18,16 +18,14 @@ from .energy import (
     cycle_energy,
     energy_savings_percent,
 )
-from .model import BatteryState, ConfigurationError, InferenceMode, SimEvent
-from .scenario import Scenario
+from .model import ConfigurationError, InferenceMode, SimEvent
+from .scenario import NodeConfig, Scenario
 
 TRACE_COLUMNS = (
     "timestamp_ms", "node_id", "event_kind", "mode", "state",
     "H_hex", "tau", "sigma", "q_t", "latency_ms", "battery_pct",
 )
 
-#: Event kinds that change a node's inference mode.
-MODE_CHANGE_KINDS = frozenset({"mode-change"})
 #: Response kinds that complete a round-trip latency measurement.
 RESPONSE_KINDS = frozenset({"response-blank", "mode-command"})
 
@@ -233,7 +231,7 @@ def summarize(records: list[SimEvent], scenario: Scenario) -> RunSummary:
             summary.responses += 1
         elif r.kind == "request-timeout":
             summary.timeouts += 1
-        elif r.kind in MODE_CHANGE_KINDS:
+        elif r.kind == "mode-change":
             summary.transitions += 1
         elif r.kind == "protocol-violation":
             summary.violations += 1
@@ -254,15 +252,15 @@ def summarize(records: list[SimEvent], scenario: Scenario) -> RunSummary:
 
 
 def _fill_analytics(summary: RunSummary, scenario: Scenario) -> None:
-    sleep_ms = scenario.nodes[0].sleep_period_ms if scenario.nodes else 0.0
-    capacity = scenario.nodes[0].battery_capacity_j if scenario.nodes else 18_648.0
+    node = scenario.nodes[0] if scenario.nodes else NodeConfig()
+    sleep_ms = node.sleep_period_ms
     table = scenario.energy
     summary.onboard_cycle_mj = cycle_energy(InferenceMode.SENSOR, sleep_ms, table)
     summary.offboard_cycle_mj = cycle_energy(InferenceMode.CLOUD, sleep_ms, table)
     summary.energy_savings_pct = energy_savings_percent(
         summary.onboard_cycle_mj, summary.offboard_cycle_mj
     )
-    battery = BatteryState(capacity_j=capacity)
+    battery = node.make_battery()
     summary.projected_life_onboard_h = battery_life_bound(
         battery, InferenceMode.SENSOR, sleep_ms, table
     )
@@ -280,7 +278,7 @@ def _occupancy(records: list[SimEvent], duration_ms: float, modes: list[str]) ->
             continue
         if r.node_id not in current:
             current[r.node_id] = (r.mode, 0.0)  # initial mode holds from t=0
-        elif r.kind in MODE_CHANGE_KINDS:
+        elif r.kind == "mode-change":
             mode, since = current[r.node_id]
             time_in[mode] += r.timestamp_ms - since
             current[r.node_id] = (r.mode, r.timestamp_ms)

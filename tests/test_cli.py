@@ -1,14 +1,17 @@
 """Tests for scenario loading and the command-line interface."""
 
 import json
+import re
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from tiersim import ConfigurationError, InferenceMode, Scenario, load_scenario
 from tiersim.cli import main, run_scenario
-from tiersim.scenario import load_preset, scenario_from_dict
+from tiersim.scenario import TimedCommand, load_preset, scenario_from_dict
 
 S, G, C = InferenceMode.SENSOR, InferenceMode.GATEWAY, InferenceMode.CLOUD
 
@@ -25,6 +28,15 @@ def test_empty_document_reproduces_reference_setup():
     assert scenario.latency.gateway_ms == 148.15
     assert scenario.energy.radio_tx.energy_mj == 1_570.0
     assert scenario.profiles[C].accuracy == 0.9938
+
+
+def test_readme_schema_documents_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Scenario files", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
+    scenario = scenario_from_dict(json.loads(re.sub(r"//.*", "", block)))
+    # the documented command is an example; by default there are none
+    assert scenario.commands == (TimedCommand(60_000.0, "node-0", "sleep_period", "SET", 5000),)
+    assert replace(scenario, commands=()) == scenario_from_dict({})
 
 
 def test_scenario_overrides_apply(tmp_path):
@@ -49,10 +61,12 @@ def test_scenario_overrides_apply(tmp_path):
 
 
 def test_unknown_field_is_rejected_with_path():
-    with pytest.raises(ConfigurationError, match="latency"):
+    with pytest.raises(ConfigurationError, match=r"^<scenario>: latency: unknown field"):
         scenario_from_dict({"latency": {"gatway_ms": 1.0}})
-    with pytest.raises(ConfigurationError, match="top level"):
+    with pytest.raises(ConfigurationError, match=r"^<scenario>: top level: unknown field"):
         scenario_from_dict({"bogus": 1})
+    with pytest.raises(ConfigurationError, match=r"^<scenario>: profiles: unknown field.*'Q'"):
+        scenario_from_dict({"profiles": {"Q": {}}})
 
 
 def test_parse_error_carries_line_and_column(tmp_path):
@@ -63,16 +77,35 @@ def test_parse_error_carries_line_and_column(tmp_path):
 
 
 def test_invalid_values_rejected():
-    with pytest.raises(ConfigurationError):
+    # every message names its JSON path once, right after the source
+    with pytest.raises(ConfigurationError, match=r"^<scenario>: top level: duration_ms"):
         scenario_from_dict({"duration_ms": -1})
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^<scenario>: nodes\[0\]: unknown inference"):
         scenario_from_dict({"nodes": [{"initial_mode": "Z"}]})
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^<scenario>: heuristics: gateway"):
         scenario_from_dict({"heuristics": {"gateway_escalate_count": 3}})
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^<scenario>: commands\[0\]: .*'name'"):
         scenario_from_dict({"commands": [{"node_id": "n"}]})
-    with pytest.raises(ConfigurationError):
-        scenario_from_dict({"nodes": [{"node_id": "a,b"}]})  # would corrupt the CSV
+    with pytest.raises(ConfigurationError, match=r"^<scenario>: nodes\[1\]: node id 'a,b'"):
+        scenario_from_dict({"nodes": [{}, {"node_id": "a,b"}]})  # would corrupt the CSV
+    with pytest.raises(ConfigurationError, match=r"^<scenario>: nodes\[0\]: battery voltage"):
+        scenario_from_dict({"nodes": [{"battery_voltage_v": 0}]})  # caught at load, not at run time
+    with pytest.raises(ConfigurationError, match=r"^<scenario>: energy\.radio_tx: operation"):
+        scenario_from_dict({"energy": {"radio_tx": {"energy_mj": -1}}})
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"duration_ms": float("nan")}, "duration_ms"),
+    ({"latency": {"cloud_ms": float("inf")}}, "latency.cloud_ms"),
+    ({"seed": float("inf")}, "seed"),
+    ({"heuristics": {"cloud_escalate_count": "x"}}, "heuristics.cloud_escalate_count"),
+    ({"adaptive": "false"}, "adaptive"),
+    ({"poll": {"enabled": 0}}, "poll.enabled"),
+    ({"commands": [{"at_ms": -5, "node_id": "node-0", "name": "state"}]}, "commands[0]"),
+])
+def test_bad_values_rejected_at_load_with_path(doc, path):
+    with pytest.raises(ConfigurationError, match=rf"^<scenario>: {re.escape(path)}: "):
+        scenario_from_dict(doc)
 
 
 def test_presets_exist_and_validate():
@@ -137,6 +170,14 @@ def test_cli_config_error_exits_2_without_artifacts(tmp_path, capsys):
     assert code == 2
     assert not (tmp_path / "out").exists()
     assert "battery_capacity_j" in capsys.readouterr().err
+
+
+def test_cli_nan_duration_exits_2_without_artifacts(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"duration_ms": NaN}')
+    assert main([str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "duration_ms: must be a finite number" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exits_2(tmp_path, capsys):

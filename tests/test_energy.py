@@ -157,5 +157,3 @@ def test_ledger_total_matches_entry_sum():
     debit_sleep(battery, ledger, 30_000.0, TABLE, node_id="n0")
     assert ledger.total_mj == pytest.approx(math.fsum(e.energy_mj for e in ledger.entries),
                                             rel=1e-12)
-    assert ledger.total_for("n0") == pytest.approx(ledger.total_mj, rel=1e-12)
-    assert ledger.total_for("other") == 0.0

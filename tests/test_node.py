@@ -10,12 +10,12 @@ from tiersim import (
     PropertyCommand,
     PropertyMethod,
     SensorNode,
+    SimulationError,
     new_tracker,
 )
 from tiersim.node import (
     InvalidTransitionError,
     PROPERTY_TABLE,
-    SimulationStateError,
     TRANSITIONS,
 )
 
@@ -83,7 +83,9 @@ def test_set_sleep_period():
     node = SensorNode(node_id="n0")
     assert node.apply_command(cmd("sleep_period", "SET", 5_000)).ok
     assert node.sleep_period_ms == 5_000.0
-    assert not node.apply_command(cmd("sleep_period", "SET", -1)).ok
+    for bad in (-1, "nan", "inf", float("nan")):
+        assert node.apply_command(cmd("sleep_period", "SET", bad)).status == "invalid-value"
+    assert node.sleep_period_ms == 5_000.0
 
 
 def test_set_inference_mode_resets_tracker():
@@ -178,7 +180,7 @@ def test_poll_cycle_defers_end():
 
 def test_cycle_requires_working_state():
     node = SensorNode(node_id="n0")  # INITIAL
-    with pytest.raises(SimulationStateError):
+    with pytest.raises(SimulationError):
         node.plan_cycle(0.0, TABLE)
 
 
