@@ -174,14 +174,14 @@ def debit(
 ) -> float:
     """Charge one table operation against a battery and record it.
 
-    A dead battery is left untouched (no entry, nothing debited).
+    A dead battery is left untouched (no entry, nothing debited), and the
+    debit that empties it records only the charge that was left.
     ``scale`` supports fractional charges such as an empty command poll.
     Returns the energy actually debited in mJ.
     """
     if battery.dead:
         return 0.0
-    energy_mj = table.operation(tag).energy_mj * scale
-    battery.drain(energy_mj)
+    energy_mj = battery.drain(table.operation(tag).energy_mj * scale)
     ledger.add(timestamp_ms, node_id, tag_override or tag, energy_mj, battery.level_pct)
     return energy_mj
 
@@ -197,7 +197,6 @@ def debit_sleep(
     """Charge a deep-sleep phase of the given duration. Returns mJ debited."""
     if battery.dead:
         return 0.0
-    energy_mj = table.sleep_energy_mj(sleep_ms)
-    battery.drain(energy_mj)
+    energy_mj = battery.drain(table.sleep_energy_mj(sleep_ms))
     ledger.add(timestamp_ms, node_id, "deep_sleep", energy_mj, battery.level_pct)
     return energy_mj

@@ -373,14 +373,15 @@ class Simulator:
             self.schedule(self.clock.now_ms + stage_ms, "lifecycle", node.node_id,
                           event=LifecycleEvent.CONFIG_CONFIRM)
         elif event is LifecycleEvent.CONFIG_CONFIRM:
-            self.schedule(self.clock.now_ms, "cycle-start", node.node_id)
+            node.epoch += 1  # cycle-starts left from an earlier WORKING spell go stale
+            self.schedule(self.clock.now_ms, "cycle-start", node.node_id, epoch=node.epoch)
 
     # -- duty cycle -----------------------------------------------------
 
     def _on_cycle_start(self, ev: _Scheduled) -> None:
         node = self.nodes[ev.node_id]
-        if node.state is not NodeState.WORKING:
-            return  # idled or reset mid-cycle; lifecycle events restart cycling
+        if node.state is not NodeState.WORKING or ev.data["epoch"] != node.epoch:
+            return  # idled, or left from before a reset; lifecycle events restart cycling
         if node.battery.dead:
             if node.node_id not in self._dead_reported:
                 self._dead_reported.add(node.node_id)
@@ -401,7 +402,7 @@ class Simulator:
         if plan.poll_at is not None:
             self.schedule(plan.poll_at, "poll", node.node_id)
         if plan.end_ms is not None:
-            self.schedule(plan.end_ms, "cycle-start", node.node_id)
+            self.schedule(plan.end_ms, "cycle-start", node.node_id, epoch=node.epoch)
 
     def _on_op(self, ev: _Scheduled) -> None:
         node = self.nodes[ev.node_id]
@@ -643,7 +644,8 @@ class Simulator:
                   scale=fraction, tag_override="radio_poll_empty")
             self._record(node, "poll-empty")
         if node.state is NodeState.WORKING:
-            self.schedule(self.clock.now_ms + duration, "cycle-start", node.node_id)
+            self.schedule(self.clock.now_ms + duration, "cycle-start", node.node_id,
+                          epoch=node.epoch)
 
 
 def _command_detail(cmd: PropertyCommand, status: str, value: object | None) -> str:

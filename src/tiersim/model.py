@@ -206,11 +206,17 @@ class BatteryState:
     def dead(self) -> bool:
         return self.consumed_j >= self.capacity_j
 
-    def drain(self, energy_mj: float) -> None:
-        """Consume energy (millijoules); clamps at capacity once exhausted."""
+    def drain(self, energy_mj: float) -> float:
+        """Consume energy (millijoules); returns the mJ drawn.
+
+        The drain that exhausts the battery clamps at capacity and draws
+        only the charge that was left.
+        """
         if self.dead:
-            return
-        self.consumed_j = min(self.capacity_j, self.consumed_j + energy_mj / 1000.0)
+            return 0.0
+        before_j = self.consumed_j
+        self.consumed_j = min(self.capacity_j, before_j + energy_mj / 1000.0)
+        return (self.capacity_j - before_j) * 1000.0 if self.dead else energy_mj
 
 
 @dataclass(frozen=True)

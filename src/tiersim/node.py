@@ -158,6 +158,7 @@ class SensorNode:
     sleep_period_ms: float = 30_000.0
     properties: dict[str, object] = field(default_factory=dict)
     cycle_index: int = 0
+    epoch: int = 0  # WORKING spells entered; a duty cycle belongs to one
 
     def __post_init__(self) -> None:
         if self.sleep_period_ms < 0:

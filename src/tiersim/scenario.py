@@ -176,15 +176,25 @@ def _float(value, *_) -> float:
     return number
 
 
-def _bool(value, *_) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"must be true or false, got {value!r}")
-    return value
+def _int(value, *_) -> int:
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _exact(tp: type, expected: str):
+    """A coercer that admits only JSON values that already have type ``tp``."""
+    def coerce(value, *_):
+        if not isinstance(value, tp):
+            raise TypeError(f"must be {expected}, got {value!r}")
+        return value
+    return coerce
 
 
 #: Coercers of the scalar field types; each takes (value, source, path).
-_SCALARS = {float: _float, int: lambda value, *_: int(value), bool: _bool,
-            str: lambda value, *_: str(value), object: lambda value, *_: value}
+_SCALARS = {float: _float, int: _int, bool: _exact(bool, "true or false"),
+            str: _exact(str, "a string"), object: lambda value, *_: value}
 
 
 def _coercer(tp, f):
@@ -337,8 +347,7 @@ def load_preset(name: str) -> Scenario:
 def with_overrides(
     scenario: Scenario, seed: int | None = None, duration_ms: float | None = None
 ) -> Scenario:
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)
-    if duration_ms is not None:
-        scenario = replace(scenario, duration_ms=duration_ms)
-    return scenario
+    """Apply command-line overrides with the same checks as file values."""
+    overrides = {"seed": seed, "duration_ms": duration_ms}
+    return _load(Scenario, {k: v for k, v in overrides.items() if v is not None},
+                 "<command line>", "", scenario)

@@ -9,7 +9,9 @@ shortest round-trip form, which keeps re-read traces bit-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import operator
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .energy import (
@@ -21,52 +23,47 @@ from .energy import (
 from .model import ConfigurationError, InferenceMode, SimEvent
 from .scenario import NodeConfig, Scenario
 
-TRACE_COLUMNS = (
-    "timestamp_ms", "node_id", "event_kind", "mode", "state",
-    "H_hex", "tau", "sigma", "q_t", "latency_ms", "battery_pct",
+#: The trace format: (column, SimEvent attribute), in SimEvent's field
+#: order, which ``read_trace_csv`` relies on to build records by position.
+_TRACE_FORMAT = (
+    ("timestamp_ms", "timestamp_ms"),
+    ("node_id", "node_id"),
+    ("event_kind", "kind"),
+    ("mode", "mode"),
+    ("state", "state"),
+    ("H_hex", "history_hex"),
+    ("tau", "tau"),
+    ("sigma", "sigma"),
+    ("q_t", "queue_len"),
+    ("latency_ms", "latency_ms"),
+    ("battery_pct", "battery_pct"),
 )
+TRACE_COLUMNS = tuple(column for column, _ in _TRACE_FORMAT)
+_trace_row = operator.attrgetter(*(attr for _, attr in _TRACE_FORMAT))
+
+#: The JSONL object adds ``detail``. Its keys are pre-sorted, so each
+#: record dumps in sorted-key order without being sorted again.
+_JSONL_KEYS, _JSONL_ATTRS = zip(*sorted((*_TRACE_FORMAT, ("detail", "detail"))))
+_jsonl_row = operator.attrgetter(*_JSONL_ATTRS)
 
 #: Response kinds that complete a round-trip latency measurement.
 RESPONSE_KINDS = frozenset({"response-blank", "mode-command"})
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_csv(path: str | Path, columns, rows) -> None:
+    """Write a header and one row per tuple; None is an empty cell, floats round-trip."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(["" if v is None else str(v) for v in row]) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_trace_csv(records: list[SimEvent], path: str | Path) -> None:
-    lines = [",".join(TRACE_COLUMNS)]
-    for r in records:
-        lines.append(",".join((
-            _fmt(r.timestamp_ms), r.node_id, r.kind, _fmt(r.mode), _fmt(r.state),
-            _fmt(r.history_hex), _fmt(r.tau), _fmt(r.sigma), _fmt(r.queue_len),
-            _fmt(r.latency_ms), _fmt(r.battery_pct),
-        )))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, TRACE_COLUMNS, map(_trace_row, records))
 
 
 def write_trace_jsonl(records: list[SimEvent], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps({
-                "timestamp_ms": r.timestamp_ms,
-                "node_id": r.node_id,
-                "event_kind": r.kind,
-                "mode": r.mode,
-                "state": r.state,
-                "H_hex": r.history_hex,
-                "tau": r.tau,
-                "sigma": r.sigma,
-                "q_t": r.queue_len,
-                "latency_ms": r.latency_ms,
-                "battery_pct": r.battery_pct,
-                "detail": r.detail,
-            }, sort_keys=True))
-            fh.write("\n")
+        fh.writelines(json.dumps(dict(zip(_JSONL_KEYS, _jsonl_row(r)))) + "\n" for r in records)
 
 
 def read_trace_csv(path: str | Path) -> list[SimEvent]:
@@ -76,24 +73,18 @@ def read_trace_csv(path: str | Path) -> list[SimEvent]:
         raise ConfigurationError(f"{path}: row 1: missing or wrong header")
     records = []
     for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(TRACE_COLUMNS):
+        cells = line.split(",")
+        if len(cells) != len(TRACE_COLUMNS):
             raise ConfigurationError(
-                f"{path}: row {i}: expected {len(TRACE_COLUMNS)} columns, got {len(parts)}"
+                f"{path}: row {i}: expected {len(TRACE_COLUMNS)} columns, got {len(cells)}"
             )
+        t, node_id, kind, mode, state, bits, tau, sigma, queue, latency, battery = cells
         try:
             records.append(SimEvent(
-                timestamp_ms=float(parts[0]),
-                node_id=parts[1],
-                kind=parts[2],
-                mode=parts[3] or None,
-                state=parts[4] or None,
-                history_hex=parts[5] or None,
-                tau=int(parts[6]) if parts[6] else None,
-                sigma=int(parts[7]) if parts[7] else None,
-                queue_len=int(parts[8]) if parts[8] else None,
-                latency_ms=float(parts[9]) if parts[9] else None,
-                battery_pct=float(parts[10]) if parts[10] else None,
+                float(t), node_id, kind, mode or None, state or None, bits or None,
+                int(tau) if tau else None, int(sigma) if sigma else None,
+                int(queue) if queue else None, float(latency) if latency else None,
+                float(battery) if battery else None,
             ))
         except ValueError as err:
             raise ConfigurationError(f"{path}: row {i}: {err}") from None
@@ -101,13 +92,11 @@ def read_trace_csv(path: str | Path) -> list[SimEvent]:
 
 
 def write_energy_csv(ledger: EnergyLedger, path: str | Path) -> None:
-    lines = ["timestamp_ms,node_id,operation,energy_mJ,battery_pct"]
-    for e in ledger.entries:
-        lines.append(",".join((
-            _fmt(e.timestamp_ms), e.node_id, e.operation,
-            _fmt(e.energy_mj), _fmt(e.battery_pct),
-        )))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(
+        path, ("timestamp_ms", "node_id", "operation", "energy_mJ", "battery_pct"),
+        map(operator.attrgetter("timestamp_ms", "node_id", "operation", "energy_mj",
+                                "battery_pct"), ledger.entries),
+    )
 
 
 @dataclass(frozen=True)
@@ -149,10 +138,8 @@ def extract_latency_series(records: list[SimEvent]) -> list[LatencySample]:
 
 
 def write_latency_csv(series: list[LatencySample], path: str | Path) -> None:
-    lines = ["timestamp_ms,node_id,mode,latency_ms"]
-    for s in series:
-        lines.append(",".join((_fmt(s.timestamp_ms), s.node_id, s.mode, _fmt(s.latency_ms))))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = ("timestamp_ms", "node_id", "mode", "latency_ms")
+    _write_csv(path, columns, map(operator.attrgetter(*columns), series))
 
 
 @dataclass
@@ -180,27 +167,7 @@ class RunSummary:
     projected_life_offboard_h: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "duration_ms": self.duration_ms,
-            "node_count": self.node_count,
-            "predictions": self.predictions,
-            "requests": self.requests,
-            "responses": self.responses,
-            "timeouts": self.timeouts,
-            "transitions": self.transitions,
-            "violations": self.violations,
-            "latency_count": dict(self.latency_count),
-            "mean_latency_ms": dict(self.mean_latency_ms),
-            "occupancy": dict(self.occupancy),
-            "total_energy_mj": self.total_energy_mj,
-            "battery_dead_ms": dict(self.battery_dead_ms),
-            "onboard_cycle_mj": self.onboard_cycle_mj,
-            "offboard_cycle_mj": self.offboard_cycle_mj,
-            "energy_savings_pct": self.energy_savings_pct,
-            "projected_life_onboard_h": self.projected_life_onboard_h,
-            "projected_life_offboard_h": self.projected_life_offboard_h,
-        }
+        return asdict(self)
 
 
 def summarize(records: list[SimEvent], scenario: Scenario) -> RunSummary:
@@ -212,33 +179,24 @@ def summarize(records: list[SimEvent], scenario: Scenario) -> RunSummary:
     consumed energy.
     """
     modes = [m.value for m in InferenceMode]
+    kinds = Counter(map(operator.attrgetter("kind"), records))
     summary = RunSummary(
         name=scenario.name,
         duration_ms=scenario.duration_ms,
         node_count=len(scenario.nodes),
-        latency_count={m: 0 for m in modes},
-        mean_latency_ms={m: 0.0 for m in modes},
-        occupancy={m: 0.0 for m in modes},
+        predictions=kinds["predict"],
+        requests=kinds["request-send"],
+        responses=sum(kinds[k] for k in RESPONSE_KINDS),
+        timeouts=kinds["request-timeout"],
+        transitions=kinds["mode-change"],
+        violations=kinds["protocol-violation"],
+        latency_count=dict.fromkeys(modes, 0),
+        mean_latency_ms=dict.fromkeys(modes, 0.0),
+        occupancy=dict.fromkeys(modes, 0.0),
     )
     _fill_analytics(summary, scenario)
 
-    for r in records:
-        if r.kind == "predict":
-            summary.predictions += 1
-        elif r.kind == "request-send":
-            summary.requests += 1
-        elif r.kind in RESPONSE_KINDS:
-            summary.responses += 1
-        elif r.kind == "request-timeout":
-            summary.timeouts += 1
-        elif r.kind == "mode-change":
-            summary.transitions += 1
-        elif r.kind == "protocol-violation":
-            summary.violations += 1
-        elif r.kind == "battery-dead":
-            summary.battery_dead_ms[r.node_id] = r.timestamp_ms
-
-    totals = {m: 0.0 for m in modes}
+    totals = dict.fromkeys(modes, 0.0)
     for sample in extract_latency_series(records):
         summary.latency_count[sample.mode] += 1
         totals[sample.mode] += sample.latency_ms
@@ -246,8 +204,36 @@ def summarize(records: list[SimEvent], scenario: Scenario) -> RunSummary:
         if summary.latency_count[m]:
             summary.mean_latency_ms[m] = totals[m] / summary.latency_count[m]
 
-    summary.occupancy = _occupancy(records, scenario.duration_ms, modes)
-    summary.total_energy_mj = _consumed_energy_mj(records, scenario)
+    # One pass for the time-weighted mode spans (each node's initial mode
+    # holds from t=0), each node's last battery level and battery deaths.
+    capacities = {cfg.node_id: cfg.battery_capacity_j for cfg in scenario.nodes}
+    time_in = dict.fromkeys(modes, 0.0)
+    spans: dict[str, tuple[str, float]] = {}  # node -> (mode, since)
+    last_pct: dict[str, float] = {}
+    sensor = InferenceMode.SENSOR.value
+    for r in records:
+        node_id, kind, mode = r.node_id, r.kind, r.mode
+        if node_id and mode is not None:
+            span = spans.get(node_id)
+            if span is None:
+                spans[node_id] = (mode, 0.0)
+            elif kind == "mode-change":
+                time_in[span[0]] += r.timestamp_ms - span[1]
+                spans[node_id] = (mode, r.timestamp_ms)
+        if kind == "battery-dead":
+            summary.battery_dead_ms[node_id] = r.timestamp_ms
+        elif kind == "predict" and mode != sensor:
+            continue  # tier-side rows echo the level attached at send time
+        if r.battery_pct is not None and node_id in capacities:
+            last_pct[node_id] = r.battery_pct
+
+    for mode, since in spans.values():
+        time_in[mode] += scenario.duration_ms - since
+    total = scenario.duration_ms * len(spans)
+    if total > 0:
+        summary.occupancy = {m: time_in[m] / total for m in modes}
+    for node_id, pct in last_pct.items():  # a plain loop: sum() of floats may compensate
+        summary.total_energy_mj += capacities[node_id] * (1.0 - pct / 100.0) * 1000.0
     return summary
 
 
@@ -267,39 +253,3 @@ def _fill_analytics(summary: RunSummary, scenario: Scenario) -> None:
     summary.projected_life_offboard_h = battery_life_bound(
         battery, InferenceMode.CLOUD, sleep_ms, table
     )
-
-
-def _occupancy(records: list[SimEvent], duration_ms: float, modes: list[str]) -> dict[str, float]:
-    """Time-weighted fraction each node spent in each mode, pooled over nodes."""
-    time_in: dict[str, float] = {m: 0.0 for m in modes}
-    current: dict[str, tuple[str, float]] = {}  # node -> (mode, since)
-    for r in records:
-        if not r.node_id or r.mode is None:
-            continue
-        if r.node_id not in current:
-            current[r.node_id] = (r.mode, 0.0)  # initial mode holds from t=0
-        elif r.kind == "mode-change":
-            mode, since = current[r.node_id]
-            time_in[mode] += r.timestamp_ms - since
-            current[r.node_id] = (r.mode, r.timestamp_ms)
-    for mode, since in current.values():
-        time_in[mode] += duration_ms - since
-    total = duration_ms * len(current)
-    if total <= 0:
-        return {m: 0.0 for m in modes}
-    return {m: time_in[m] / total for m in modes}
-
-
-def _consumed_energy_mj(records: list[SimEvent], scenario: Scenario) -> float:
-    """Total energy drawn, reconstructed from each node's last battery level."""
-    capacities = {cfg.node_id: cfg.battery_capacity_j for cfg in scenario.nodes}
-    last_pct: dict[str, float] = {}
-    for r in records:
-        if r.kind == "predict" and r.mode != InferenceMode.SENSOR.value:
-            continue  # tier-side rows echo the level attached at send time
-        if r.battery_pct is not None and r.node_id in capacities:
-            last_pct[r.node_id] = r.battery_pct
-    total = 0.0
-    for node_id, pct in last_pct.items():
-        total += capacities[node_id] * (1.0 - pct / 100.0) * 1000.0
-    return total

@@ -102,6 +102,11 @@ def test_invalid_values_rejected():
     ({"adaptive": "false"}, "adaptive"),
     ({"poll": {"enabled": 0}}, "poll.enabled"),
     ({"commands": [{"at_ms": -5, "node_id": "node-0", "name": "state"}]}, "commands[0]"),
+    ({"nodes": [{"node_id": None}]}, "nodes[0].node_id"),  # loaded as "None"
+    ({"seed": 2.5}, "seed"),  # loaded as 2
+    ({"seed": True}, "seed"),  # loaded as 1
+    ({"name": {"a": 1}}, "name"),  # loaded as "{'a': 1}"
+    ({"heuristics": {"queue_limit": 2.9}}, "heuristics.queue_limit"),  # loaded as 2
 ])
 def test_bad_values_rejected_at_load_with_path(doc, path):
     with pytest.raises(ConfigurationError, match=rf"^<scenario>: {re.escape(path)}: "):
@@ -175,9 +180,12 @@ def test_cli_config_error_exits_2_without_artifacts(tmp_path, capsys):
 def test_cli_nan_duration_exits_2_without_artifacts(tmp_path, capsys):
     path = tmp_path / "nan.json"
     path.write_text('{"duration_ms": NaN}')
-    assert main([str(path), "--out", str(tmp_path / "out")]) == 2
-    assert not (tmp_path / "out").exists()
-    assert "duration_ms: must be a finite number" in capsys.readouterr().err
+    # --until is checked like a file value
+    for argv in ([str(path)], ["--preset", "paper-latency", "--until", "nan"],
+                 ["--preset", "paper-latency", "--until", "inf"]):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2, argv
+        assert not (tmp_path / "out").exists()
+        assert "duration_ms: must be a finite number" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exits_2(tmp_path, capsys):

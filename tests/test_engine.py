@@ -331,6 +331,23 @@ def test_command_to_idle_node_is_delivered_immediately():
     assert sim.nodes["node-0"].state.value == "WORKING"
 
 
+def test_reset_drops_the_cycle_start_left_from_before_idle():
+    # IDLE lands at the 10.65 s radio window, whose cycle-start is still
+    # pending when the reset brings the node back to WORKING
+    cmds = (
+        TimedCommand(5_000.0, "node-0", "state", "SET", "IDLE"),
+        TimedCommand(12_000.0, "node-0", "state", "SET", "UNLOCKED"),
+    )
+    plan = scenario(duration_ms=600_000.0, adaptive=False, commands=cmds,
+                    nodes=(NodeConfig(initial_mode="G", sleep_period_ms=0.0),))
+    records = Simulator(plan).run()
+    assert [r.timestamp_ms for r in records if r.kind == "idle-command"] == [10_650.0]
+    samples = [r.timestamp_ms for r in kinds_for(records, "node-0", "sample")]
+    assert len(samples) == 41
+    window = plan.energy.sampling.duration_ms
+    assert all(b - a >= window for a, b in zip(samples, samples[1:]))
+
+
 def test_command_to_transmitting_node_applies_at_radio_window():
     cmds = (TimedCommand(5_000.0, "node-0", "sleep_period", "SET", 2_000),)
     plan = scenario(

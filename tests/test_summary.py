@@ -1,9 +1,13 @@
 """Tests for trace serialization and run aggregation."""
 
+import json
+from dataclasses import astuple
+
 import pytest
 
 from tiersim import (
     ConfigurationError,
+    NodeConfig,
     Scenario,
     SimEvent,
     Simulator,
@@ -11,7 +15,7 @@ from tiersim import (
     read_trace_csv,
     summarize,
 )
-from tiersim.summary import write_trace_csv, write_trace_jsonl
+from tiersim.summary import TRACE_COLUMNS, write_trace_csv, write_trace_jsonl
 
 
 def run(scenario):
@@ -96,10 +100,16 @@ def test_zero_duration_summary_is_all_zeros():
 
 
 def test_total_energy_matches_ledger_within_float_reconstruction():
-    scenario = Scenario(duration_ms=600_000.0)
-    records, sim = run(scenario)
-    summary = summarize(records, scenario)
-    assert summary.total_energy_mj == pytest.approx(sim.ledger.total_mj, rel=1e-9)
+    # the second fleet's 50 J node dies: its last debit draws only the charge left
+    dying = (NodeConfig("s", "S"), NodeConfig("g", "G", battery_capacity_j=50.0),
+             NodeConfig("c", "C"))
+    for scenario in (Scenario(duration_ms=600_000.0),
+                     Scenario(duration_ms=600_000.0, nodes=dying)):
+        records, sim = run(scenario)
+        summary = summarize(records, scenario)
+        assert summary.total_energy_mj == pytest.approx(sim.ledger.total_mj, rel=1e-9)
+        assert sum(summary.occupancy.values()) == pytest.approx(1.0, abs=1e-9)
+    assert list(summary.battery_dead_ms) == ["g"]
 
 
 def test_latency_series_extraction_matches_counts():
@@ -125,7 +135,8 @@ def test_jsonl_written_one_record_per_line(tmp_path):
     write_trace_jsonl(records, path)
     lines = path.read_text().splitlines()
     assert len(lines) == len(records)
-    import json
     first = json.loads(lines[0])
     assert first["event_kind"] == "provision-stage"
     assert first["detail"] == "device-discovery"
+    for line, record in zip(lines, records):  # the eleven trace columns plus detail
+        assert json.loads(line) == dict(zip((*TRACE_COLUMNS, "detail"), astuple(record)))
