@@ -38,14 +38,15 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None):
     """
     sim = Simulator(scenario)
     records = sim.run()
-    result = summarize(records, scenario)
+    series = extract_latency_series(records)
+    result = summarize(records, scenario, series)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_trace_csv(records, out / "trace.csv")
         write_trace_jsonl(records, out / "trace.jsonl")
         write_energy_csv(sim.ledger, out / "energy.csv")
-        write_latency_csv(extract_latency_series(records), out / "latency.csv")
+        write_latency_csv(series, out / "latency.csv")
         (out / "summary.json").write_text(
             json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",

@@ -132,7 +132,7 @@ def energy_savings_percent(onboard_cycle_mj: float, offboard_cycle_mj: float) ->
     return 100.0 * (offboard_cycle_mj - onboard_cycle_mj) / offboard_cycle_mj
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerEntry:
     timestamp_ms: float
     node_id: str

@@ -118,13 +118,6 @@ class LatencyModel:
             return self.jitter_gateway_ms
         return self.jitter_cloud_ms
 
-    def draw(self, mode: InferenceMode, rng: random.Random) -> float:
-        half_width = self.jitter(mode)
-        base = self.constant(mode)
-        if half_width == 0:
-            return base
-        return base + rng.uniform(-half_width, half_width)
-
     def with_jitter_fraction(self, fraction: float) -> "LatencyModel":
         """Copy with per-mode jitter half-widths set to a fraction of each constant."""
         if not 0 <= fraction < 1:
@@ -194,15 +187,6 @@ class Gateway(Tier):
         return "unknown-property", None
 
 
-@dataclass(order=True)
-class _Scheduled:
-    time_ms: float
-    seq: int
-    kind: str = field(compare=False)
-    node_id: str = field(compare=False)
-    data: dict = field(compare=False, default_factory=dict)
-
-
 class Simulator:
     """Single-threaded event loop advancing all nodes and tiers."""
 
@@ -212,7 +196,7 @@ class Simulator:
         self.table = scenario.energy
         self.latency_model = scenario.latency
         self.clock = SimClock()
-        self._heap: list[_Scheduled] = []
+        self._heap: list[tuple[float, int, str, str, dict]] = []
         self._seq = 0
         self.records: list[SimEvent] = []
         self.ledger = EnergyLedger()
@@ -224,10 +208,10 @@ class Simulator:
         self.cloud = Tier(cloud, scenario.cloud_service_ms, self.params.history_depth(cloud))
         self._tiers = (self.gateway, self.cloud)
         self._truth: dict[str, GroundTruthProcess] = {}
-        self._oracles: dict[tuple[str, InferenceMode], ClassifierOracle] = {}
         self._pred_step: dict[str, int] = {}
-        self._latency_rng: dict[str, random.Random] = {}
-        self._drop_rng: dict[str, random.Random] = {}
+        # Per-node streams, each derived on first use from its own labels.
+        self._oracles: dict[tuple[str, InferenceMode], ClassifierOracle] = {}
+        self._rngs: dict[tuple[str, str], random.Random] = {}
         self._dead_reported: set[str] = set()
 
         for cfg in scenario.nodes:
@@ -248,22 +232,13 @@ class Simulator:
         self.nodes[cfg.node_id] = node
         self._reset_tiers(node)
         self.gateway.pending_commands[cfg.node_id] = deque()
-        seed = self.scenario.seed
         self._truth[cfg.node_id] = GroundTruthProcess(
-            seed=derive_seed(seed, cfg.node_id, "truth"),
+            seed=derive_seed(self.scenario.seed, cfg.node_id, "truth"),
             anomaly_probability=self.scenario.anomaly_probability,
             healthy_split=self.scenario.healthy_split,
             degraded_split=self.scenario.degraded_split,
         )
-        anomaly_labels = self.scenario.anomaly_label_set()
-        for mode in InferenceMode:
-            self._oracles[(cfg.node_id, mode)] = ClassifierOracle.create(
-                seed, cfg.node_id, self.scenario.profiles[mode],
-                anomaly_labels=anomaly_labels,
-            )
         self._pred_step[cfg.node_id] = 0
-        self._latency_rng[cfg.node_id] = random.Random(derive_seed(seed, cfg.node_id, "latency"))
-        self._drop_rng[cfg.node_id] = random.Random(derive_seed(seed, cfg.node_id, "drop"))
         stage_ms = self.scenario.provisioning_stage_ms
         for i in range(len(PROVISIONING_STAGES)):
             self.schedule(stage_ms * (i + 1), "provision-stage", cfg.node_id, stage=i)
@@ -277,15 +252,18 @@ class Simulator:
                 f"event {kind} scheduled at {time_ms} ms, before current time "
                 f"{self.clock.now_ms} ms"
             )
+        if kind not in _HANDLERS:
+            raise SimulationError(f"no handler for event kind {kind!r}")
         self._seq += 1
-        heapq.heappush(self._heap, _Scheduled(time_ms, self._seq, kind, node_id, data))
+        heapq.heappush(self._heap, (time_ms, self._seq, kind, node_id, data))
 
     def run_until(self, t_end_ms: float) -> list[SimEvent]:
         """Execute all events up to and including ``t_end_ms``; returns the trace."""
-        while self._heap and self._heap[0].time_ms <= t_end_ms:
-            ev = heapq.heappop(self._heap)
-            self.clock.advance_to(ev.time_ms)
-            self._dispatch(ev)
+        heap, advance_to = self._heap, self.clock.advance_to
+        while heap and heap[0][0] <= t_end_ms:
+            time_ms, _, kind, node_id, data = heapq.heappop(heap)
+            advance_to(time_ms)
+            _HANDLERS[kind](self, node_id, data)
         if t_end_ms >= self.clock.now_ms:
             self.clock.advance_to(t_end_ms)
         return self.records
@@ -307,49 +285,64 @@ class Simulator:
         node_id: str | None = None,
         detail: str | None = None,
     ) -> SimEvent:
-        if node is not None:
+        # Positional fields in SimEvent's order; ``_value_`` skips the
+        # Enum ``value`` descriptor on this per-record path.
+        if node is None:
+            mode = state = None
+        else:
             node_id = node.node_id
+            mode, state = node.mode._value_, node.state._value_
             if battery_pct is None:
                 battery_pct = node.battery.level_pct
-        has_tracker = tracker is not None
-        event = SimEvent(
-            timestamp_ms=self.clock.now_ms,
-            node_id=node_id or "",
-            kind=kind,
-            mode=node.mode.value if node else None,
-            state=node.state.value if node else None,
-            history_hex=format(tracker.bits, "x") if has_tracker else None,
-            tau=tracker.length if has_tracker else None,
-            sigma=heuristics.anomaly_count(tracker) if has_tracker else None,
-            queue_len=queue_len,
-            latency_ms=latency_ms,
-            battery_pct=battery_pct,
-            detail=detail,
-        )
+        if tracker is None:
+            bits_hex = length = sigma = None
+        else:
+            bits = tracker.bits
+            bits_hex, length, sigma = format(bits, "x"), tracker.length, bits.bit_count()
+        event = SimEvent(self.clock.now_ms, node_id or "", kind, mode, state, bits_hex,
+                         length, sigma, queue_len, latency_ms, battery_pct, detail)
         self.records.append(event)
         return event
 
-    # -- dispatch -----------------------------------------------------
+    # -- per-node streams ---------------------------------------------
 
-    def _dispatch(self, ev: _Scheduled) -> None:
-        handler = getattr(self, "_on_" + ev.kind.replace("-", "_"), None)
-        if handler is None:
-            raise SimulationError(f"no handler for event kind {ev.kind!r}")
-        handler(ev)
+    def _oracle(self, node_id: str, mode: InferenceMode) -> ClassifierOracle:
+        oracle = self._oracles.get((node_id, mode))
+        if oracle is None:
+            oracle = self._oracles[(node_id, mode)] = ClassifierOracle.create(
+                self.scenario.seed, node_id, self.scenario.profiles[mode],
+                anomaly_labels=self.scenario.anomaly_label_set(),
+            )
+        return oracle
+
+    def _rng(self, node_id: str, label: str) -> random.Random:
+        rng = self._rngs.get((node_id, label))
+        if rng is None:
+            rng = self._rngs[(node_id, label)] = random.Random(
+                derive_seed(self.scenario.seed, node_id, label))
+        return rng
+
+    def _latency(self, node_id: str, mode: InferenceMode) -> float:
+        """One response latency; only jitter draws from the node's latency stream."""
+        half_width = self.latency_model.jitter(mode)
+        base = self.latency_model.constant(mode)
+        if half_width == 0:
+            return base
+        return base + self._rng(node_id, "latency").uniform(-half_width, half_width)
 
     # -- provisioning and lifecycle ------------------------------------
 
-    def _on_provision_stage(self, ev: _Scheduled) -> None:
-        node = self.nodes[ev.node_id]
-        stage = ev.data["stage"]
+    def _on_provision_stage(self, node_id: str, data: dict) -> None:
+        node = self.nodes[node_id]
+        stage = data["stage"]
         self._record(node, "provision-stage", detail=PROVISIONING_STAGES[stage])
         if stage == len(PROVISIONING_STAGES) - 1:
             self.schedule(self.clock.now_ms, "lifecycle", node.node_id,
                           event=LifecycleEvent.PROVISIONING_COMPLETE)
 
-    def _on_lifecycle(self, ev: _Scheduled) -> None:
-        node = self.nodes[ev.node_id]
-        event: LifecycleEvent = ev.data["event"]
+    def _on_lifecycle(self, node_id: str, data: dict) -> None:
+        node = self.nodes[node_id]
+        event: LifecycleEvent = data["event"]
         try:
             node.step_state(event)
         except InvalidTransitionError as err:
@@ -378,9 +371,9 @@ class Simulator:
 
     # -- duty cycle -----------------------------------------------------
 
-    def _on_cycle_start(self, ev: _Scheduled) -> None:
-        node = self.nodes[ev.node_id]
-        if node.state is not NodeState.WORKING or ev.data["epoch"] != node.epoch:
+    def _on_cycle_start(self, node_id: str, data: dict) -> None:
+        node = self.nodes[node_id]
+        if node.state is not NodeState.WORKING or data["epoch"] != node.epoch:
             return  # idled, or left from before a reset; lifecycle events restart cycling
         if node.battery.dead:
             if node.node_id not in self._dead_reported:
@@ -404,9 +397,9 @@ class Simulator:
         if plan.end_ms is not None:
             self.schedule(plan.end_ms, "cycle-start", node.node_id, epoch=node.epoch)
 
-    def _on_op(self, ev: _Scheduled) -> None:
-        node = self.nodes[ev.node_id]
-        step: CycleStep = ev.data["step"]
+    def _on_op(self, node_id: str, data: dict) -> None:
+        node = self.nodes[node_id]
+        step: CycleStep = data["step"]
         if step.energy_op == "sleep":
             debit_sleep(node.battery, self.ledger, step.duration_ms, self.table,
                         self.clock.now_ms, node.node_id)
@@ -422,14 +415,14 @@ class Simulator:
         self._pred_step[node_id] = step + 1
         return step, draw_ground_truth(self._truth[node_id], step)
 
-    def _on_predict_local(self, ev: _Scheduled) -> None:
-        node = self.nodes[ev.node_id]
+    def _on_predict_local(self, node_id: str, data: dict) -> None:
+        node = self.nodes[node_id]
         if node.state is not NodeState.WORKING:
             return
         step, truth = self._next_truth(node.node_id)
-        prediction = self._oracles[(node.node_id, InferenceMode.SENSOR)].predict(truth, step)
+        prediction = self._oracle(node.node_id, InferenceMode.SENSOR).predict(truth, step)
         node.tracker = heuristics.update_history(node.tracker, prediction.anomaly_bit, True)
-        latency = self.latency_model.draw(InferenceMode.SENSOR, self._latency_rng[node.node_id])
+        latency = self._latency(node.node_id, InferenceMode.SENSOR)
         self._record(
             node, "predict", tracker=node.tracker, latency_ms=latency,
             detail=f"label={prediction.label.value} truth={truth.value}",
@@ -462,8 +455,8 @@ class Simulator:
 
     # -- offboard requests ------------------------------------------------
 
-    def _on_radio_window(self, ev: _Scheduled) -> None:
-        node = self.nodes[ev.node_id]
+    def _on_radio_window(self, node_id: str, data: dict) -> None:
+        node = self.nodes[node_id]
         if node.state is not NodeState.WORKING:
             return
         self._deliver_pending_commands(node)
@@ -478,7 +471,7 @@ class Simulator:
         )
         self._record(node, "request-send", detail=f"dst={request.dst}")
         if self.scenario.drop_probability > 0 and (
-            self._drop_rng[node.node_id].random() < self.scenario.drop_probability
+            self._rng(node.node_id, "drop").random() < self.scenario.drop_probability
         ):
             self.schedule(
                 self.clock.now_ms + self.scenario.request_timeout_ms,
@@ -490,8 +483,8 @@ class Simulator:
     def _tier(self, name: str) -> Tier:
         return self.gateway if name == "gateway" else self.cloud
 
-    def _on_tier_arrival(self, ev: _Scheduled) -> None:
-        request: Message = ev.data["request"]
+    def _on_tier_arrival(self, node_id: str, data: dict) -> None:
+        request: Message = data["request"]
         tier = self._tier(request.dst)
         tier.queue.append(request)
         if not tier.busy:
@@ -499,13 +492,13 @@ class Simulator:
             self.schedule(self.clock.now_ms + tier.service_ms, "tier-complete",
                           request.src, tier=request.dst)
 
-    def _on_tier_complete(self, ev: _Scheduled) -> None:
-        tier = self._tier(ev.data["tier"])
+    def _on_tier_complete(self, node_id: str, data: dict) -> None:
+        tier = self._tier(data["tier"])
         request = tier.queue.popleft()
         self._handle_prediction(tier, request)
         if tier.queue:
             self.schedule(self.clock.now_ms + tier.service_ms, "tier-complete",
-                          tier.queue[0].src, tier=ev.data["tier"])
+                          tier.queue[0].src, tier=data["tier"])
         else:
             tier.busy = False
 
@@ -518,7 +511,7 @@ class Simulator:
             return
         queue_len = len(tier.queue)
         step, truth = self._next_truth(node.node_id)
-        prediction = self._oracles[(node.node_id, tier.mode)].predict(truth, step)
+        prediction = self._oracle(node.node_id, tier.mode).predict(truth, step)
         tracker = heuristics.update_history(
             tier.trackers[node.node_id], prediction.anomaly_bit, True
         )
@@ -550,14 +543,14 @@ class Simulator:
                 send_time_ms=self.clock.now_ms,
                 request_send_time_ms=request.send_time_ms, mode=verdict,
             )
-        delay = self.latency_model.draw(tier.mode, self._latency_rng[node.node_id])
+        delay = self._latency(node.node_id, tier.mode)
         self.schedule(self.clock.now_ms + delay, "response-arrival", node.node_id,
                       response=response, origin=tier.mode)
 
-    def _on_response_arrival(self, ev: _Scheduled) -> None:
-        node = self.nodes[ev.node_id]
-        response: Message = ev.data["response"]
-        origin: InferenceMode = ev.data["origin"]
+    def _on_response_arrival(self, node_id: str, data: dict) -> None:
+        node = self.nodes[node_id]
+        response: Message = data["response"]
+        origin: InferenceMode = data["origin"]
         latency = measure_latency(response, self.clock.now_ms)
         if response.kind == "blank-response":
             self._record(node, "response-blank", latency_ms=latency,
@@ -568,13 +561,13 @@ class Simulator:
         self._apply_mode_change(node, response.mode,
                                 origin=f"{origin.value}-heuristic")
 
-    def _on_request_timeout(self, ev: _Scheduled) -> None:
-        node = self.nodes[ev.node_id]
+    def _on_request_timeout(self, node_id: str, data: dict) -> None:
+        node = self.nodes[node_id]
         self._record(node, "request-timeout", detail="no response before timeout")
 
     # -- commands -----------------------------------------------------
 
-    def _on_command_arrival(self, ev: _Scheduled) -> None:
+    def _on_command_arrival(self, node_id: str, data: dict) -> None:
         """A scenario command reaches the gateway.
 
         Gateway-targeted properties apply on the spot. Node-targeted
@@ -583,7 +576,7 @@ class Simulator:
         node, at the next transmit window otherwise. Nodes outside
         WORKING keep their radio listening, so delivery is immediate.
         """
-        cmd: PropertyCommand = ev.data["command"]
+        cmd: PropertyCommand = data["command"]
         spec = PROPERTY_TABLE.get(cmd.name)
         if spec is not None and spec.target == "gateway":
             status, value = self.gateway.apply_command(cmd)
@@ -627,8 +620,8 @@ class Simulator:
 
     # -- polling ------------------------------------------------------
 
-    def _on_poll(self, ev: _Scheduled) -> None:
-        node = self.nodes[ev.node_id]
+    def _on_poll(self, node_id: str, data: dict) -> None:
+        node = self.nodes[node_id]
         pending = self.gateway.pending_commands[node.node_id]
         if pending:
             duration = self.table.radio_tx.duration_ms
@@ -654,3 +647,11 @@ def _command_detail(cmd: PropertyCommand, status: str, value: object | None) -> 
         value = getattr(value, "value", value)  # enums print their wire value
         text += f" value={value}"
     return text
+
+
+#: Event kind -> handler, derived once from the ``_on_*`` methods; each is
+#: called unbound as ``handler(simulator, node_id, data)``.
+_HANDLERS = {
+    name[len("_on_"):].replace("_", "-"): handler
+    for name, handler in vars(Simulator).items() if name.startswith("_on_")
+}

@@ -234,7 +234,7 @@ class Prediction:
             raise ConfigurationError(f"anomaly bit must be 0 or 1, got {self.anomaly_bit}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SimEvent:
     """One observable simulation event; doubles as a trace record.
 

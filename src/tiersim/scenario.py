@@ -170,6 +170,8 @@ class _LocatedError(ConfigurationError):
 
 
 def _float(value, *_) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, got {value!r}")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"must be a finite number, got {value!r}")

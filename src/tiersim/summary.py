@@ -170,13 +170,15 @@ class RunSummary:
         return asdict(self)
 
 
-def summarize(records: list[SimEvent], scenario: Scenario) -> RunSummary:
+def summarize(records: list[SimEvent], scenario: Scenario,
+              series: list[LatencySample] | None = None) -> RunSummary:
     """Aggregate a trace into the run summary.
 
     The scenario supplies the constants a trace cannot carry: cycle
     energies, the battery capacity behind the projected-life bounds, and
     the per-node capacities used to convert battery percentages back to
-    consumed energy.
+    consumed energy. ``series`` is the trace's latency series, when the
+    caller has already extracted it; otherwise it is extracted here.
     """
     modes = [m.value for m in InferenceMode]
     kinds = Counter(map(operator.attrgetter("kind"), records))
@@ -197,7 +199,9 @@ def summarize(records: list[SimEvent], scenario: Scenario) -> RunSummary:
     _fill_analytics(summary, scenario)
 
     totals = dict.fromkeys(modes, 0.0)
-    for sample in extract_latency_series(records):
+    if series is None:
+        series = extract_latency_series(records)
+    for sample in series:
         summary.latency_count[sample.mode] += 1
         totals[sample.mode] += sample.latency_ms
     for m in modes:

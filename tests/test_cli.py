@@ -9,7 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from tiersim import ConfigurationError, InferenceMode, Scenario, load_scenario
+from tiersim import (
+    ConfigurationError,
+    InferenceMode,
+    NodeConfig,
+    Scenario,
+    extract_latency_series,
+    load_scenario,
+    read_trace_csv,
+)
 from tiersim.cli import main, run_scenario
 from tiersim.scenario import TimedCommand, load_preset, scenario_from_dict
 
@@ -107,6 +115,9 @@ def test_invalid_values_rejected():
     ({"seed": True}, "seed"),  # loaded as 1
     ({"name": {"a": 1}}, "name"),  # loaded as "{'a': 1}"
     ({"heuristics": {"queue_limit": 2.9}}, "heuristics.queue_limit"),  # loaded as 2
+    ({"duration_ms": "60000"}, "duration_ms"),  # loaded as 60000.0
+    ({"duration_ms": True}, "duration_ms"),  # loaded as 1.0
+    ({"nodes": [{"sleep_period_ms": " 1e3 "}]}, "nodes[0].sleep_period_ms"),  # loaded as 1000.0
 ])
 def test_bad_values_rejected_at_load_with_path(doc, path):
     with pytest.raises(ConfigurationError, match=rf"^<scenario>: {re.escape(path)}: "):
@@ -136,6 +147,23 @@ def test_run_writes_full_artifact_set(tmp_path):
     stored = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert stored == summary.to_dict()
     assert stored["predictions"] > 0
+
+
+def test_run_extracts_the_latency_series_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(records):
+        calls.append(len(records))
+        return extract_latency_series(records)
+
+    for module in ("tiersim.cli", "tiersim.summary"):
+        monkeypatch.setattr(f"{module}.extract_latency_series", counted)
+    run_scenario(Scenario(duration_ms=120_000.0, nodes=(NodeConfig(initial_mode="G"),)),
+                 tmp_path / "out")
+    assert len(calls) == 1
+    rows = (tmp_path / "out" / "latency.csv").read_text().splitlines()[1:]
+    series = extract_latency_series(read_trace_csv(tmp_path / "out" / "trace.csv"))
+    assert len(rows) == len(series) > 0
 
 
 # -- CLI ----------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Tests for the discrete-event engine: scheduling, tiers, messaging."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
 from tiersim import (
     InferenceMode,
+    LatencyModel,
     Message,
     NodeConfig,
     Scenario,
@@ -65,6 +68,12 @@ def test_scheduling_into_the_past_aborts():
     sim.run_until(10_000.0)
     with pytest.raises(SimulationError):
         sim.schedule(5_000.0, "cycle-start", "node-0")
+
+
+def test_unknown_event_kind_is_rejected_when_scheduled():
+    sim = Simulator(scenario())
+    with pytest.raises(SimulationError, match="no handler for event kind 'no-such-kind'"):
+        sim.schedule(0.0, "no-such-kind", "node-0")
 
 
 def test_equal_timestamps_execute_in_insertion_order():
@@ -403,3 +412,45 @@ def test_different_seeds_diverge():
     base = Scenario(duration_ms=1_800_000.0, seed=1)
     other = dataclasses.replace(base, seed=2)
     assert Simulator(base).run() != Simulator(other).run()
+
+
+def test_adding_a_node_leaves_the_other_nodes_streams_alone():
+    plan = scenario(
+        seed=5, duration_ms=600_000.0, drop_probability=0.2,
+        latency=LatencyModel().with_jitter_fraction(0.2),
+    )
+    # a's own sleep period keeps its requests apart from the others' in the
+    # shared gateway queue, so only the random streams could couple them
+    a = NodeConfig(node_id="a", initial_mode="G", sleep_period_ms=2_500.0)
+    fleets = (
+        (a,),
+        (NodeConfig(node_id="b"), a),
+        (a, NodeConfig(node_id="z", initial_mode="C")),
+    )
+    rows = [
+        [r for r in Simulator(dataclasses.replace(plan, nodes=nodes)).run() if r.node_id == "a"]
+        for nodes in fleets
+    ]
+    assert {r.kind for r in rows[0]} >= {"predict", "request-timeout", "response-blank"}
+    assert rows[1] == rows[0]
+    assert rows[2] == rows[0]
+
+
+def test_finished_simulator_is_freed_without_the_cyclic_collector():
+    plan = scenario(
+        duration_ms=300_000.0, drop_probability=0.3,
+        nodes=(NodeConfig(node_id="g", initial_mode="G"),
+               NodeConfig(node_id="c", initial_mode="C")),
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulator(plan)
+        records = sim.run()
+        refs = (weakref.ref(sim), weakref.ref(sim.ledger))
+        del sim
+        assert records
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,7 +1,7 @@
 """Tests for trace serialization and run aggregation."""
 
 import json
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -9,7 +9,6 @@ from tiersim import (
     ConfigurationError,
     NodeConfig,
     Scenario,
-    SimEvent,
     Simulator,
     extract_latency_series,
     read_trace_csv,
@@ -30,7 +29,7 @@ def test_csv_round_trip_preserves_records(tmp_path):
     write_trace_csv(records, path)
     loaded = read_trace_csv(path)
     stripped = [
-        SimEvent(**{**vars(r), "detail": None}) for r in records
+        replace(r, detail=None) for r in records
     ]
     assert loaded == stripped
 
