@@ -1,24 +1,32 @@
 """Command-line entry point: load a scenario, simulate, emit artifacts.
 
 Artifacts land in the output directory as plottable CSVs plus a JSON
-summary. Nothing is written until the scenario validates and the run
-completes, so a failed invocation leaves no partial files.
+summary. The run streams them: the simulator hands its trace over in
+fixed-size batches, and each batch's rows go straight to the open
+artifact files and into the summary fold, so the trace never sits whole
+in memory. The files are written into a temporary directory beside the
+output directory and moved into place only when the run completes, so a
+failed invocation (exit 2 or 3) leaves no partial files and no new
+directory; other files already in the output directory are left alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
+from contextlib import ExitStack
 from pathlib import Path
 
 from .engine import Simulator
-from .model import ConfigurationError, SimulationError
+from .model import ConfigurationError, SimEvent, SimulationError
 from .scenario import PRESETS, Scenario, load_preset, load_scenario, with_overrides
 from .summary import (
     RunSummary,
-    extract_latency_series,
-    summarize,
+    SummaryFold,
     write_energy_csv,
     write_latency_csv,
     write_trace_csv,
@@ -29,29 +37,58 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+ARTIFACTS = ("trace.csv", "trace.jsonl", "energy.csv", "latency.csv", "summary.json")
 
-def run_scenario(scenario: Scenario, out_dir: str | Path | None = None):
-    """Simulate one scenario; optionally write the artifact set.
 
-    Returns (records, summary). Artifacts: trace.csv, trace.jsonl,
-    energy.csv, latency.csv, summary.json.
+def run_scenario(scenario: Scenario, out_dir: str | Path) -> RunSummary:
+    """Simulate one scenario, write its artifact set to ``out_dir``, return the summary.
+
+    Artifacts: trace.csv, trace.jsonl, energy.csv, latency.csv,
+    summary.json. They appear in ``out_dir`` only if the run completes.
     """
-    sim = Simulator(scenario)
-    records = sim.run()
-    series = extract_latency_series(records)
-    result = summarize(records, scenario, series)
-    if out_dir is not None:
-        out = Path(out_dir)
+    out = Path(out_dir)
+    anchor = out.absolute().parent
+    while not anchor.is_dir():  # the nearest existing ancestor; out's parents may not exist yet
+        anchor = anchor.parent
+    staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=anchor))
+    try:
+        summary = _stream_run(scenario, staging)
         out.mkdir(parents=True, exist_ok=True)
-        write_trace_csv(records, out / "trace.csv")
-        write_trace_jsonl(records, out / "trace.jsonl")
-        write_energy_csv(sim.ledger, out / "energy.csv")
-        write_latency_csv(series, out / "latency.csv")
-        (out / "summary.json").write_text(
-            json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    return records, result
+        for name in ARTIFACTS:
+            os.replace(staging / name, out / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return summary
+
+
+def _stream_run(scenario: Scenario, staging: Path) -> RunSummary:
+    """Run the scenario, writing each trace batch to the artifacts in ``staging``."""
+    sim = Simulator(scenario)
+    fold = SummaryFold(scenario)
+    writers = (write_trace_csv, write_trace_jsonl, write_energy_csv, write_latency_csv)
+    with ExitStack() as stack:
+        files = []
+        for write, name in zip(writers, ARTIFACTS):  # summary.json is written whole, last
+            write([], staging / name)  # a new file holding only the header
+            files.append(stack.enter_context(open(staging / name, "a", encoding="utf-8")))
+        trace_csv, trace_jsonl, energy_csv, latency_csv = files
+        entries = sim.ledger.entries
+        written = 0  # ledger entries already in energy.csv
+
+        def sink(batch: list[SimEvent]) -> None:
+            nonlocal written
+            write_trace_csv(batch, trace_csv)
+            write_trace_jsonl(batch, trace_jsonl)
+            write_energy_csv(entries[written:], energy_csv)
+            written = len(entries)
+            write_latency_csv(fold.update(batch), latency_csv)
+
+        sim.run(sink)
+    summary = fold.result()
+    (staging / "summary.json").write_text(
+        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8",
+    )
+    return summary
 
 
 def _print_summary(summary: RunSummary) -> None:
@@ -108,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     out_dir = args.out or scenario.out_dir or "out"
     try:
-        _, summary = run_scenario(scenario, out_dir)
+        summary = run_scenario(scenario, out_dir)
     except SimulationError as err:
         print(f"tiersim: runtime abort: {err}", file=sys.stderr)
         return EXIT_RUNTIME

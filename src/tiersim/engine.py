@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -53,6 +54,10 @@ PROVISIONING_STAGES = (
     "configuration",
     "connection-termination",
 )
+
+#: Records a run hands to its sink at a time: enough that each batch's
+#: writes are large, few enough that a batch is a small share of memory.
+SINK_BATCH_RECORDS = 4_096
 
 #: Legal inference-mode transitions (self-loops excluded): a node being
 #: served on-device can only be escalated to the gateway, while gateway-
@@ -257,19 +262,32 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (time_ms, self._seq, kind, node_id, data))
 
-    def run_until(self, t_end_ms: float) -> list[SimEvent]:
-        """Execute all events up to and including ``t_end_ms``; returns the trace."""
+    def run_until(self, t_end_ms: float,
+                  sink: Callable[[list[SimEvent]], object] | None = None) -> list[SimEvent]:
+        """Execute all events up to and including ``t_end_ms``; returns the trace.
+
+        With a ``sink``, the simulator keeps no trace: each time its buffer
+        reaches ``SINK_BATCH_RECORDS`` records it hands them to the sink and
+        starts a new buffer, and it hands over the remainder once at the
+        end, so the list returned is empty. The ledger stays complete.
+        """
         heap, advance_to = self._heap, self.clock.advance_to
         while heap and heap[0][0] <= t_end_ms:
             time_ms, _, kind, node_id, data = heapq.heappop(heap)
             advance_to(time_ms)
             _HANDLERS[kind](self, node_id, data)
+            if sink is not None and len(self.records) >= SINK_BATCH_RECORDS:
+                sink(self.records)
+                self.records = []
         if t_end_ms >= self.clock.now_ms:
             self.clock.advance_to(t_end_ms)
+        if sink is not None:
+            sink(self.records)
+            self.records = []
         return self.records
 
-    def run(self) -> list[SimEvent]:
-        return self.run_until(self.scenario.duration_ms)
+    def run(self, sink: Callable[[list[SimEvent]], object] | None = None) -> list[SimEvent]:
+        return self.run_until(self.scenario.duration_ms, sink)
 
     # -- trace ------------------------------------------------------------
 

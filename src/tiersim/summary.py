@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 from .energy import (
-    EnergyLedger,
+    LedgerEntry,
     battery_life_bound,
     cycle_energy,
     energy_savings_percent,
@@ -46,57 +49,81 @@ _trace_row = operator.attrgetter(*(attr for _, attr in _TRACE_FORMAT))
 _JSONL_KEYS, _JSONL_ATTRS = zip(*sorted((*_TRACE_FORMAT, ("detail", "detail"))))
 _jsonl_row = operator.attrgetter(*_JSONL_ATTRS)
 
+_kind = operator.attrgetter("kind")
+_MODES = tuple(m.value for m in InferenceMode)
+_SENSOR = InferenceMode.SENSOR.value
+
 #: Response kinds that complete a round-trip latency measurement.
 RESPONSE_KINDS = frozenset({"response-blank", "mode-command"})
 
-
-def _write_csv(path: str | Path, columns, rows) -> None:
-    """Write a header and one row per tuple; None is an empty cell, floats round-trip."""
-    lines = [",".join(columns)]
-    lines.extend(",".join(["" if v is None else str(v) for v in row]) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_trace_csv(records: list[SimEvent], path: str | Path) -> None:
-    _write_csv(path, TRACE_COLUMNS, map(_trace_row, records))
+_ENERGY_COLUMNS = ("timestamp_ms", "node_id", "operation", "energy_mJ", "battery_pct")
+_energy_row = operator.attrgetter("timestamp_ms", "node_id", "operation", "energy_mj",
+                                  "battery_pct")
+_LATENCY_COLUMNS = ("timestamp_ms", "node_id", "mode", "latency_ms")
+_latency_row = operator.attrgetter(*_LATENCY_COLUMNS)
 
 
-def write_trace_jsonl(records: list[SimEvent], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(dict(zip(_JSONL_KEYS, _jsonl_row(r)))) + "\n" for r in records)
+def _write(dest: str | os.PathLike | TextIO, header: str, text: str) -> None:
+    """Append ``text`` to an open file, or write ``header`` and ``text`` to a new file.
+
+    Every writer takes either destination: a path gets the whole artifact,
+    header first, and an open file gets only the rows, so that a caller can
+    stream one artifact in batches.
+    """
+    if isinstance(dest, (str, os.PathLike)):
+        with open(dest, "w", encoding="utf-8") as fh:
+            fh.write(header)
+            fh.write(text)
+    else:
+        dest.write(text)
+
+
+def _csv_header(columns) -> str:
+    return ",".join(columns) + "\n"
+
+
+def _csv_lines(rows) -> str:
+    """One line per row tuple; None is an empty cell, floats round-trip."""
+    return "".join([",".join(["" if v is None else str(v) for v in row]) + "\n"
+                    for row in rows])
+
+
+def write_trace_csv(records: Iterable[SimEvent], dest: str | os.PathLike | TextIO) -> None:
+    _write(dest, _csv_header(TRACE_COLUMNS), _csv_lines(map(_trace_row, records)))
+
+
+def write_trace_jsonl(records: Iterable[SimEvent], dest: str | os.PathLike | TextIO) -> None:
+    _write(dest, "", "".join([json.dumps(dict(zip(_JSONL_KEYS, _jsonl_row(r)))) + "\n"
+                              for r in records]))
 
 
 def read_trace_csv(path: str | Path) -> list[SimEvent]:
-    """Read a trace back; aborts with the row number on any malformed row."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != ",".join(TRACE_COLUMNS):
-        raise ConfigurationError(f"{path}: row 1: missing or wrong header")
-    records = []
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(TRACE_COLUMNS):
-            raise ConfigurationError(
-                f"{path}: row {i}: expected {len(TRACE_COLUMNS)} columns, got {len(cells)}"
-            )
-        t, node_id, kind, mode, state, bits, tau, sigma, queue, latency, battery = cells
-        try:
-            records.append(SimEvent(
-                float(t), node_id, kind, mode or None, state or None, bits or None,
-                int(tau) if tau else None, int(sigma) if sigma else None,
-                int(queue) if queue else None, float(latency) if latency else None,
-                float(battery) if battery else None,
-            ))
-        except ValueError as err:
-            raise ConfigurationError(f"{path}: row {i}: {err}") from None
+    """Read a trace back row by row; aborts with the row number on any malformed row."""
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n") != ",".join(TRACE_COLUMNS):
+            raise ConfigurationError(f"{path}: row 1: missing or wrong header")
+        records = []
+        for i, line in enumerate(fh, start=2):
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(TRACE_COLUMNS):
+                raise ConfigurationError(
+                    f"{path}: row {i}: expected {len(TRACE_COLUMNS)} columns, got {len(cells)}"
+                )
+            t, node_id, kind, mode, state, bits, tau, sigma, queue, latency, battery = cells
+            try:
+                records.append(SimEvent(
+                    float(t), node_id, kind, mode or None, state or None, bits or None,
+                    int(tau) if tau else None, int(sigma) if sigma else None,
+                    int(queue) if queue else None, float(latency) if latency else None,
+                    float(battery) if battery else None,
+                ))
+            except ValueError as err:
+                raise ConfigurationError(f"{path}: row {i}: {err}") from None
     return records
 
 
-def write_energy_csv(ledger: EnergyLedger, path: str | Path) -> None:
-    _write_csv(
-        path, ("timestamp_ms", "node_id", "operation", "energy_mJ", "battery_pct"),
-        map(operator.attrgetter("timestamp_ms", "node_id", "operation", "energy_mj",
-                                "battery_pct"), ledger.entries),
-    )
+def write_energy_csv(entries: Iterable[LedgerEntry], dest: str | os.PathLike | TextIO) -> None:
+    _write(dest, _csv_header(_ENERGY_COLUMNS), _csv_lines(map(_energy_row, entries)))
 
 
 @dataclass(frozen=True)
@@ -107,39 +134,59 @@ class LatencySample:
     latency_ms: float
 
 
-def extract_latency_series(records: list[SimEvent]) -> list[LatencySample]:
-    """Recover the per-mode latency series from a trace.
+class _LatencyMatcher:
+    """Recovers the per-mode latency series from a trace, one batch at a time.
 
-    On-device predictions carry their latency directly. Offboard
-    round-trips are matched FIFO per node: the mode recorded at
-    request-send time names the serving tier, the response (blank or
-    mode command) supplies the measured latency.
+    On-device predictions carry their latency directly. An offboard
+    response carries the measured latency and is matched to its node's
+    outstanding request sent at ``timestamp_ms - latency_ms``, taking the
+    nearest send time because the subtraction may round. A dropped request
+    stays outstanding until its timeout, so the oldest request is not
+    always the one answered. The mode recorded at send time names the
+    serving tier. A timeout retires the node's oldest outstanding request,
+    since every timeout has the same length. Requests still outstanding at
+    the end of a batch carry over to the next.
     """
-    outstanding: dict[str, list[str]] = {}
-    series: list[LatencySample] = []
-    for r in records:
-        if r.kind == "predict" and r.latency_ms is not None:
-            series.append(LatencySample(r.timestamp_ms, r.node_id, r.mode, r.latency_ms))
-        elif r.kind == "request-send":
-            outstanding.setdefault(r.node_id, []).append(r.mode)
-        elif r.kind in RESPONSE_KINDS:
-            pending = outstanding.get(r.node_id)
-            if not pending:
-                raise ConfigurationError(
-                    f"response for {r.node_id} at {r.timestamp_ms} ms without a request"
-                )
-            origin = pending.pop(0)
-            series.append(LatencySample(r.timestamp_ms, r.node_id, origin, r.latency_ms))
-        elif r.kind == "request-timeout":
-            pending = outstanding.get(r.node_id)
-            if pending:
-                pending.pop(0)
-    return series
+
+    def __init__(self) -> None:
+        self._outstanding: dict[str, list[tuple[float, str]]] = {}
+
+    def match(self, records: Iterable[SimEvent]) -> list[LatencySample]:
+        outstanding = self._outstanding
+        series: list[LatencySample] = []
+        for r in records:
+            kind = r.kind
+            if kind == "predict" and r.latency_ms is not None:
+                series.append(LatencySample(r.timestamp_ms, r.node_id, r.mode, r.latency_ms))
+            elif kind == "request-send":
+                outstanding.setdefault(r.node_id, []).append((r.timestamp_ms, r.mode))
+            elif kind in RESPONSE_KINDS:
+                pending = outstanding.get(r.node_id)
+                if not pending:
+                    raise ConfigurationError(
+                        f"response for {r.node_id} at {r.timestamp_ms} ms without a request"
+                    )
+                i = 0
+                if len(pending) > 1:
+                    sent = r.timestamp_ms - r.latency_ms
+                    i = min(range(len(pending)), key=lambda k: abs(pending[k][0] - sent))
+                origin = pending.pop(i)[1]
+                series.append(LatencySample(r.timestamp_ms, r.node_id, origin, r.latency_ms))
+            elif kind == "request-timeout":
+                pending = outstanding.get(r.node_id)
+                if pending:
+                    pending.pop(0)
+        return series
 
 
-def write_latency_csv(series: list[LatencySample], path: str | Path) -> None:
-    columns = ("timestamp_ms", "node_id", "mode", "latency_ms")
-    _write_csv(path, columns, map(operator.attrgetter(*columns), series))
+def extract_latency_series(records: Iterable[SimEvent]) -> list[LatencySample]:
+    """The latency series of a whole trace: the matcher applied to one batch."""
+    return _LatencyMatcher().match(records)
+
+
+def write_latency_csv(series: Iterable[LatencySample],
+                      dest: str | os.PathLike | TextIO) -> None:
+    _write(dest, _csv_header(_LATENCY_COLUMNS), _csv_lines(map(_latency_row, series)))
 
 
 @dataclass
@@ -170,75 +217,99 @@ class RunSummary:
         return asdict(self)
 
 
-def summarize(records: list[SimEvent], scenario: Scenario,
-              series: list[LatencySample] | None = None) -> RunSummary:
-    """Aggregate a trace into the run summary.
+class SummaryFold:
+    """The run summary as a fold over the trace, taken in batches.
 
     The scenario supplies the constants a trace cannot carry: cycle
     energies, the battery capacity behind the projected-life bounds, and
     the per-node capacities used to convert battery percentages back to
-    consumed energy. ``series`` is the trace's latency series, when the
-    caller has already extracted it; otherwise it is extracted here.
+    consumed energy. ``update`` takes the next batch of records in trace
+    order and returns its latency samples; ``result`` summarizes every
+    record seen so far. However a trace is split into batches, the fold
+    gives the same summary and the same latency series.
     """
-    modes = [m.value for m in InferenceMode]
-    kinds = Counter(map(operator.attrgetter("kind"), records))
-    summary = RunSummary(
-        name=scenario.name,
-        duration_ms=scenario.duration_ms,
-        node_count=len(scenario.nodes),
-        predictions=kinds["predict"],
-        requests=kinds["request-send"],
-        responses=sum(kinds[k] for k in RESPONSE_KINDS),
-        timeouts=kinds["request-timeout"],
-        transitions=kinds["mode-change"],
-        violations=kinds["protocol-violation"],
-        latency_count=dict.fromkeys(modes, 0),
-        mean_latency_ms=dict.fromkeys(modes, 0.0),
-        occupancy=dict.fromkeys(modes, 0.0),
-    )
-    _fill_analytics(summary, scenario)
 
-    totals = dict.fromkeys(modes, 0.0)
-    if series is None:
-        series = extract_latency_series(records)
-    for sample in series:
-        summary.latency_count[sample.mode] += 1
-        totals[sample.mode] += sample.latency_ms
-    for m in modes:
-        if summary.latency_count[m]:
-            summary.mean_latency_ms[m] = totals[m] / summary.latency_count[m]
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario = scenario
+        self._capacities = {cfg.node_id: cfg.battery_capacity_j for cfg in scenario.nodes}
+        self._kinds: Counter[str] = Counter()
+        self._matcher = _LatencyMatcher()
+        self._latency_count = dict.fromkeys(_MODES, 0)
+        self._latency_total = dict.fromkeys(_MODES, 0.0)
+        # Time-weighted mode spans (each node's initial mode holds from
+        # t=0), each node's last battery level and battery deaths.
+        self._time_in = dict.fromkeys(_MODES, 0.0)
+        self._spans: dict[str, tuple[str, float]] = {}  # node -> (mode, since)
+        self._last_pct: dict[str, float] = {}
+        self._dead_ms: dict[str, float] = {}
 
-    # One pass for the time-weighted mode spans (each node's initial mode
-    # holds from t=0), each node's last battery level and battery deaths.
-    capacities = {cfg.node_id: cfg.battery_capacity_j for cfg in scenario.nodes}
-    time_in = dict.fromkeys(modes, 0.0)
-    spans: dict[str, tuple[str, float]] = {}  # node -> (mode, since)
-    last_pct: dict[str, float] = {}
-    sensor = InferenceMode.SENSOR.value
-    for r in records:
-        node_id, kind, mode = r.node_id, r.kind, r.mode
-        if node_id and mode is not None:
-            span = spans.get(node_id)
-            if span is None:
-                spans[node_id] = (mode, 0.0)
-            elif kind == "mode-change":
-                time_in[span[0]] += r.timestamp_ms - span[1]
-                spans[node_id] = (mode, r.timestamp_ms)
-        if kind == "battery-dead":
-            summary.battery_dead_ms[node_id] = r.timestamp_ms
-        elif kind == "predict" and mode != sensor:
-            continue  # tier-side rows echo the level attached at send time
-        if r.battery_pct is not None and node_id in capacities:
-            last_pct[node_id] = r.battery_pct
+    def update(self, records: list[SimEvent]) -> list[LatencySample]:
+        """Fold in the next batch of records; returns the batch's latency samples."""
+        self._kinds.update(map(_kind, records))
+        series = self._matcher.match(records)
+        count, total = self._latency_count, self._latency_total
+        for sample in series:
+            count[sample.mode] += 1
+            total[sample.mode] += sample.latency_ms
 
-    for mode, since in spans.values():
-        time_in[mode] += scenario.duration_ms - since
-    total = scenario.duration_ms * len(spans)
-    if total > 0:
-        summary.occupancy = {m: time_in[m] / total for m in modes}
-    for node_id, pct in last_pct.items():  # a plain loop: sum() of floats may compensate
-        summary.total_energy_mj += capacities[node_id] * (1.0 - pct / 100.0) * 1000.0
-    return summary
+        capacities, time_in, spans = self._capacities, self._time_in, self._spans
+        last_pct, dead_ms = self._last_pct, self._dead_ms
+        for r in records:
+            node_id, kind, mode = r.node_id, r.kind, r.mode
+            if node_id and mode is not None:
+                span = spans.get(node_id)
+                if span is None:
+                    spans[node_id] = (mode, 0.0)
+                elif kind == "mode-change":
+                    time_in[span[0]] += r.timestamp_ms - span[1]
+                    spans[node_id] = (mode, r.timestamp_ms)
+            if kind == "battery-dead":
+                dead_ms[node_id] = r.timestamp_ms
+            elif kind == "predict" and mode != _SENSOR:
+                continue  # tier-side rows echo the level attached at send time
+            if r.battery_pct is not None and node_id in capacities:
+                last_pct[node_id] = r.battery_pct
+        return series
+
+    def result(self) -> RunSummary:
+        """The summary of every record folded in so far."""
+        scenario, kinds = self.scenario, self._kinds
+        summary = RunSummary(
+            name=scenario.name,
+            duration_ms=scenario.duration_ms,
+            node_count=len(scenario.nodes),
+            predictions=kinds["predict"],
+            requests=kinds["request-send"],
+            responses=sum(kinds[k] for k in RESPONSE_KINDS),
+            timeouts=kinds["request-timeout"],
+            transitions=kinds["mode-change"],
+            violations=kinds["protocol-violation"],
+            latency_count=dict(self._latency_count),
+            mean_latency_ms=dict.fromkeys(_MODES, 0.0),
+            occupancy=dict.fromkeys(_MODES, 0.0),
+            battery_dead_ms=dict(self._dead_ms),
+        )
+        _fill_analytics(summary, scenario)
+        for m, n in self._latency_count.items():
+            if n:
+                summary.mean_latency_ms[m] = self._latency_total[m] / n
+
+        time_in = dict(self._time_in)
+        for mode, since in self._spans.values():
+            time_in[mode] += scenario.duration_ms - since
+        total = scenario.duration_ms * len(self._spans)
+        if total > 0:
+            summary.occupancy = {m: time_in[m] / total for m in _MODES}
+        for node_id, pct in self._last_pct.items():  # a plain loop: sum() of floats may compensate
+            summary.total_energy_mj += self._capacities[node_id] * (1.0 - pct / 100.0) * 1000.0
+        return summary
+
+
+def summarize(records: list[SimEvent], scenario: Scenario) -> RunSummary:
+    """Aggregate a whole trace into the run summary: the fold applied to one batch."""
+    fold = SummaryFold(scenario)
+    fold.update(records)
+    return fold.result()
 
 
 def _fill_analytics(summary: RunSummary, scenario: Scenario) -> None:

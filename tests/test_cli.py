@@ -9,17 +9,29 @@ from pathlib import Path
 
 import pytest
 
+import tiersim.cli
+import tiersim.engine
+import tiersim.summary
 from tiersim import (
     ConfigurationError,
     InferenceMode,
     NodeConfig,
     Scenario,
+    Simulator,
     extract_latency_series,
     load_scenario,
     read_trace_csv,
+    summarize,
 )
 from tiersim.cli import main, run_scenario
+from tiersim.engine import SINK_BATCH_RECORDS
 from tiersim.scenario import TimedCommand, load_preset, scenario_from_dict
+from tiersim.summary import (
+    write_energy_csv,
+    write_latency_csv,
+    write_trace_csv,
+    write_trace_jsonl,
+)
 
 S, G, C = InferenceMode.SENSOR, InferenceMode.GATEWAY, InferenceMode.CLOUD
 
@@ -140,7 +152,7 @@ def test_presets_exist_and_validate():
 
 def test_run_writes_full_artifact_set(tmp_path):
     scenario = Scenario(duration_ms=120_000.0)
-    records, summary = run_scenario(scenario, tmp_path / "out")
+    summary = run_scenario(scenario, tmp_path / "out")
     names = {p.name for p in (tmp_path / "out").iterdir()}
     assert names == {"trace.csv", "trace.jsonl", "energy.csv", "latency.csv",
                      "summary.json"}
@@ -150,20 +162,93 @@ def test_run_writes_full_artifact_set(tmp_path):
 
 
 def test_run_extracts_the_latency_series_once(tmp_path, monkeypatch):
-    calls = []
+    # Every record passes the latency matcher once, across several batches.
+    seen = []
+    match = tiersim.summary._LatencyMatcher.match
 
-    def counted(records):
-        calls.append(len(records))
-        return extract_latency_series(records)
+    def counted(self, records):
+        seen.append(len(records))
+        return match(self, records)
 
-    for module in ("tiersim.cli", "tiersim.summary"):
-        monkeypatch.setattr(f"{module}.extract_latency_series", counted)
+    monkeypatch.setattr("tiersim.summary._LatencyMatcher.match", counted)
+    monkeypatch.setattr("tiersim.engine.SINK_BATCH_RECORDS", 64)
     run_scenario(Scenario(duration_ms=120_000.0, nodes=(NodeConfig(initial_mode="G"),)),
                  tmp_path / "out")
-    assert len(calls) == 1
-    rows = (tmp_path / "out" / "latency.csv").read_text().splitlines()[1:]
-    series = extract_latency_series(read_trace_csv(tmp_path / "out" / "trace.csv"))
-    assert len(rows) == len(series) > 0
+    records = read_trace_csv(tmp_path / "out" / "trace.csv")
+    assert len(seen) > 1 and sum(seen) == len(records)
+    series = extract_latency_series(records)
+    write_latency_csv(series, tmp_path / "expected.csv")
+    assert len(series) > 0
+    assert (tmp_path / "out" / "latency.csv").read_bytes() == \
+        (tmp_path / "expected.csv").read_bytes()
+
+
+def _fleet_document(hours: float, command_at_ms: float) -> dict:
+    """Twelve S/G/C nodes with jitter, drops, long timeouts and operator commands."""
+    return {
+        "name": "fleet", "seed": 4, "duration_ms": hours * 3_600_000.0,
+        "nodes": [{"node_id": f"n{i:02d}", "initial_mode": "SGC"[i % 3],
+                   "sleep_period_ms": 1_000.0 * (i % 4)} for i in range(12)],
+        "latency": {"jitter_gateway_ms": 20.0, "jitter_cloud_ms": 60.0},
+        "drop_probability": 0.1, "request_timeout_ms": 30_000.0,
+        "commands": [
+            {"at_ms": command_at_ms, "node_id": "n01", "name": "inference_mode", "value": "C"},
+            {"at_ms": command_at_ms, "node_id": "n02", "name": "state", "value": "IDLE"},
+        ],
+    }
+
+
+@pytest.mark.parametrize("name", ["fleet", "paper-latency", "paper-savings",
+                                  "paper-battery-bounds"])
+def test_streamed_artifacts_match_the_whole_list_writers(tmp_path, name):
+    if name == "fleet":
+        scenario = scenario_from_dict(_fleet_document(1.0, 1_800_000.0))
+    else:
+        scenario = load_preset(name)
+    streamed = tmp_path / "streamed"
+    summary = run_scenario(scenario, streamed)
+
+    sim = Simulator(scenario)
+    records = sim.run()
+    whole = tmp_path / "whole"
+    whole.mkdir()
+    write_trace_csv(records, whole / "trace.csv")
+    write_trace_jsonl(records, whole / "trace.jsonl")
+    write_energy_csv(sim.ledger.entries, whole / "energy.csv")
+    write_latency_csv(extract_latency_series(records), whole / "latency.csv")
+    for artifact in ("trace.csv", "trace.jsonl", "energy.csv", "latency.csv"):
+        assert (streamed / artifact).read_bytes() == (whole / artifact).read_bytes(), artifact
+    if name == "fleet":
+        assert len(records) > 2 * SINK_BATCH_RECORDS  # several batches and a remainder
+
+    stored = json.loads((streamed / "summary.json").read_text())
+    assert stored == summary.to_dict()
+    assert stored == summarize(read_trace_csv(streamed / "trace.csv"), scenario).to_dict()
+
+
+def test_cli_runtime_abort_exits_3_without_artifacts(tmp_path, monkeypatch, capsys):
+    # No valid scenario aborts at run time, so the commands' arrival is made
+    # to schedule an event in the past, after several batches were written.
+    def schedule_in_the_past(sim, node_id, data):
+        sim.schedule(sim.clock.now_ms - 1.0, "poll", node_id)
+
+    monkeypatch.setitem(tiersim.engine._HANDLERS, "command-arrival", schedule_in_the_past)
+    writes = []
+    write = tiersim.cli.write_trace_csv
+    monkeypatch.setattr("tiersim.cli.write_trace_csv",
+                        lambda records, dest: writes.append(len(records)) or write(records, dest))
+    path = tmp_path / "abort.json"
+    path.write_text(json.dumps(_fleet_document(1.0, 3_000_000.0)))
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("unrelated")
+    for out in (tmp_path / "new" / "out", kept):
+        writes.clear()
+        assert main([str(path), "--out", str(out), "--quiet"]) == 3
+        assert "scheduled at" in capsys.readouterr().err
+        assert sum(writes) > SINK_BATCH_RECORDS  # rows reached the files before the abort
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["abort.json", "kept"]
+    assert [p.name for p in kept.iterdir()] == ["notes.txt"]
 
 
 # -- CLI ----------------------------------------------------------------------

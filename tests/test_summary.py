@@ -1,12 +1,16 @@
 """Tests for trace serialization and run aggregation."""
 
+import functools
 import json
 from dataclasses import astuple, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiersim import (
     ConfigurationError,
+    LatencyModel,
     NodeConfig,
     Scenario,
     Simulator,
@@ -14,7 +18,13 @@ from tiersim import (
     read_trace_csv,
     summarize,
 )
-from tiersim.summary import TRACE_COLUMNS, write_trace_csv, write_trace_jsonl
+from tiersim.summary import (
+    RESPONSE_KINDS,
+    TRACE_COLUMNS,
+    SummaryFold,
+    write_trace_csv,
+    write_trace_jsonl,
+)
 
 
 def run(scenario):
@@ -44,6 +54,18 @@ def test_malformed_row_aborts_with_row_number(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError, match="row 4"):
         read_trace_csv(path)
+
+
+def test_crlf_and_missing_final_newline_read_the_same(tmp_path):
+    path = tmp_path / "trace.csv"
+    records, _ = run(Scenario(duration_ms=30_000.0))
+    write_trace_csv(records, path)
+    expected = read_trace_csv(path)
+    text = path.read_text()
+    crlf = text.replace("\n", "\r\n")
+    for variant in (crlf, text[:-1], crlf[:-2]):
+        path.write_bytes(variant.encode("utf-8"))
+        assert read_trace_csv(path) == expected
 
 
 def test_wrong_header_rejected(tmp_path):
@@ -125,6 +147,49 @@ def test_latency_series_extraction_matches_counts():
     for sample in series:
         assert sample.mode in ("S", "G", "C")
         assert sample.latency_ms >= 0
+
+
+def test_latency_sample_names_the_tier_that_answered():
+    # A dropped request stays outstanding until its 40 s timeout, longer
+    # than one 14.75 s offboard cycle, so the next response may answer a
+    # newer request than the node's oldest outstanding one.
+    for seed in range(1, 40):
+        scenario = Scenario(duration_ms=3_600_000.0, seed=seed,
+                            nodes=(NodeConfig(initial_mode="G"),),
+                            drop_probability=0.3, request_timeout_ms=40_000.0)
+        records, _ = run(scenario)
+        answered = [(r.timestamp_ms, r.detail.split()[0].removeprefix("origin="))
+                    for r in records if r.kind in RESPONSE_KINDS]
+        offboard = [(s.timestamp_ms, s.mode)  # on-device samples are the S ones
+                    for s in extract_latency_series(records) if s.mode != "S"]
+        assert offboard == answered, f"seed {seed}"
+
+
+@functools.cache
+def _eventful_run():
+    """A small S/G/C fleet with drops, long timeouts, jitter and a battery death."""
+    scenario = Scenario(
+        duration_ms=900_000.0, seed=11,
+        nodes=(NodeConfig("s", "S"), NodeConfig("g", "G", battery_capacity_j=60.0),
+               NodeConfig("c", "C", sleep_period_ms=2_000.0)),
+        drop_probability=0.3, request_timeout_ms=40_000.0,
+        latency=LatencyModel().with_jitter_fraction(0.2),
+    )
+    return scenario, Simulator(scenario).run()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=12))
+def test_fold_is_independent_of_batch_boundaries(cuts):
+    scenario, records = _eventful_run()
+    bounds = sorted(int(c * len(records)) for c in cuts)
+    fold = SummaryFold(scenario)
+    series = []
+    for lo, hi in zip([0, *bounds], [*bounds, len(records)]):
+        series += fold.update(records[lo:hi])
+    whole = SummaryFold(scenario)
+    assert series == whole.update(records)
+    assert fold.result() == whole.result()
 
 
 def test_jsonl_written_one_record_per_line(tmp_path):
