@@ -60,6 +60,16 @@ from .scenario import (
     scenario_from_dict,
 )
 from .summary import RunSummary, extract_latency_series, read_trace_csv, summarize
-from .cli import run_scenario
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # ``run_scenario`` is imported from ``cli`` on first use, so that
+    # ``import tiersim`` does not load the CLI and ``python -m tiersim.cli``
+    # runs that module once, as ``__main__``.
+    if name == "run_scenario":
+        from .cli import run_scenario
+
+        return run_scenario
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,7 +15,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .energy import (
     LedgerEntry,
@@ -59,8 +59,6 @@ RESPONSE_KINDS = frozenset({"response-blank", "mode-command"})
 _ENERGY_COLUMNS = ("timestamp_ms", "node_id", "operation", "energy_mJ", "battery_pct")
 _energy_row = operator.attrgetter("timestamp_ms", "node_id", "operation", "energy_mj",
                                   "battery_pct")
-_LATENCY_COLUMNS = ("timestamp_ms", "node_id", "mode", "latency_ms")
-_latency_row = operator.attrgetter(*_LATENCY_COLUMNS)
 
 
 def _write(dest: str | os.PathLike | TextIO, header: str, text: str) -> None:
@@ -98,7 +96,14 @@ def write_trace_jsonl(records: Iterable[SimEvent], dest: str | os.PathLike | Tex
 
 
 def read_trace_csv(path: str | Path) -> list[SimEvent]:
-    """Read a trace back row by row; aborts with the row number on any malformed row."""
+    """Read a trace back row by row; aborts with the row number on any malformed row.
+
+    A trace repeats a few node ids, kinds, states and history windows
+    across many rows, so each distinct value is kept as one shared string.
+    The table lives only for the call: ``sys.intern`` would keep every
+    history window for the life of the process.
+    """
+    share = {}.setdefault
     with open(path, encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != ",".join(TRACE_COLUMNS):
             raise ConfigurationError(f"{path}: row 1: missing or wrong header")
@@ -112,7 +117,9 @@ def read_trace_csv(path: str | Path) -> list[SimEvent]:
             t, node_id, kind, mode, state, bits, tau, sigma, queue, latency, battery = cells
             try:
                 records.append(SimEvent(
-                    float(t), node_id, kind, mode or None, state or None, bits or None,
+                    float(t), share(node_id, node_id), share(kind, kind), mode or None,
+                    share(state, state) if state else None,
+                    share(bits, bits) if bits else None,
                     int(tau) if tau else None, int(sigma) if sigma else None,
                     int(queue) if queue else None, float(latency) if latency else None,
                     float(battery) if battery else None,
@@ -126,8 +133,9 @@ def write_energy_csv(entries: Iterable[LedgerEntry], dest: str | os.PathLike | T
     _write(dest, _csv_header(_ENERGY_COLUMNS), _csv_lines(map(_energy_row, entries)))
 
 
-@dataclass(frozen=True)
-class LatencySample:
+class LatencySample(NamedTuple):
+    """One ``latency.csv`` row, its fields in column order."""
+
     timestamp_ms: float
     node_id: str
     mode: str  # the tier that served the request
@@ -186,7 +194,7 @@ def extract_latency_series(records: Iterable[SimEvent]) -> list[LatencySample]:
 
 def write_latency_csv(series: Iterable[LatencySample],
                       dest: str | os.PathLike | TextIO) -> None:
-    _write(dest, _csv_header(_LATENCY_COLUMNS), _csv_lines(map(_latency_row, series)))
+    _write(dest, _csv_header(LatencySample._fields), _csv_lines(series))
 
 
 @dataclass

@@ -338,3 +338,4 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "summary.json").exists()
+    assert "RuntimeWarning" not in result.stderr  # the module runs once, as __main__

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import tracemalloc
 from dataclasses import astuple, replace
 
 import pytest
@@ -15,13 +16,18 @@ from tiersim import (
     Scenario,
     Simulator,
     extract_latency_series,
+    load_preset,
     read_trace_csv,
+    run_scenario,
+    scenario_from_dict,
     summarize,
 )
 from tiersim.summary import (
     RESPONSE_KINDS,
     TRACE_COLUMNS,
+    LatencySample,
     SummaryFold,
+    write_latency_csv,
     write_trace_csv,
     write_trace_jsonl,
 )
@@ -66,6 +72,27 @@ def test_crlf_and_missing_final_newline_read_the_same(tmp_path):
     for variant in (crlf, text[:-1], crlf[:-2]):
         path.write_bytes(variant.encode("utf-8"))
         assert read_trace_csv(path) == expected
+
+
+def test_read_back_shares_repeated_strings(tmp_path):
+    doc = {"name": "readback", "seed": 5, "duration_ms": 1_800_000.0,
+           "nodes": [{"node_id": f"n{i}", "initial_mode": "SGC"[i % 3]} for i in range(6)],
+           "latency": {"jitter_gateway_ms": 20.0}, "drop_probability": 0.1}
+    run_scenario(scenario_from_dict(doc), tmp_path)
+    tracemalloc.start()
+    try:
+        records = read_trace_csv(tmp_path / "trace.csv")
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A record with its own copies of these strings costs about 360 B.
+    assert retained / len(records) < 250
+    for attr in ("node_id", "kind", "state", "history_hex"):
+        first = {}
+        for r in records:
+            value = getattr(r, attr)
+            assert first.setdefault(value, value) is value, (attr, value)
+        assert len(first) < len(records) / 4, attr
 
 
 def test_wrong_header_rejected(tmp_path):
@@ -163,6 +190,24 @@ def test_latency_sample_names_the_tier_that_answered():
         offboard = [(s.timestamp_ms, s.mode)  # on-device samples are the S ones
                     for s in extract_latency_series(records) if s.mode != "S"]
         assert offboard == answered, f"seed {seed}"
+
+
+def test_latency_sample_is_an_immutable_row():
+    sample = LatencySample(1_000.0, "n1", "G", 148.15)
+    assert (sample.timestamp_ms, sample.node_id, sample.mode, sample.latency_ms) == \
+        (1_000.0, "n1", "G", 148.15)
+    with pytest.raises(AttributeError):
+        sample.mode = "C"
+
+
+def test_latency_csv_rows_are_the_samples_in_column_order(tmp_path):
+    scenario = load_preset("paper-latency")
+    series = extract_latency_series(Simulator(scenario).run())
+    assert len(series) > 0
+    write_latency_csv(series, tmp_path / "latency.csv")
+    rows = "".join(f"{s.timestamp_ms},{s.node_id},{s.mode},{s.latency_ms}\n" for s in series)
+    assert (tmp_path / "latency.csv").read_text() == \
+        "timestamp_ms,node_id,mode,latency_ms\n" + rows
 
 
 @functools.cache
