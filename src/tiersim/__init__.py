@@ -13,7 +13,6 @@ from .model import (
     HeuristicParams,
     InferenceMode,
     NodeState,
-    Prediction,
     SimEvent,
     SimulationError,
     new_tracker,

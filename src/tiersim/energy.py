@@ -30,11 +30,6 @@ class OperationCost:
                 f"({self.size_kb} KB, {self.duration_ms} ms, {self.energy_mj} mJ)"
             )
 
-    @property
-    def mean_power_w(self) -> float:
-        """Mean power over the operation; energy = power x duration by construction."""
-        return self.energy_mj / self.duration_ms
-
 
 @dataclass(frozen=True)
 class EnergyTable:
@@ -62,15 +57,6 @@ class EnergyTable:
             raise ConfigurationError(
                 f"supply voltage must be > 0 V, got {self.supply_voltage_v}"
             )
-
-    def operation(self, tag: str) -> OperationCost:
-        try:
-            cost = getattr(self, tag)
-        except AttributeError:
-            raise ConfigurationError(f"unknown operation tag {tag!r}") from None
-        if not isinstance(cost, OperationCost):
-            raise ConfigurationError(f"unknown operation tag {tag!r}")
-        return cost
 
     def sleep_energy_mj(self, sleep_ms: float) -> float:
         """Deep-sleep energy for a sleep phase of the given duration."""
@@ -165,24 +151,21 @@ class EnergyLedger:
 def debit(
     battery: BatteryState,
     ledger: EnergyLedger,
-    tag: str,
-    table: EnergyTable,
-    timestamp_ms: float = 0.0,
-    node_id: str = "",
-    scale: float = 1.0,
-    tag_override: str | None = None,
+    operation: str,
+    energy_mj: float,
+    timestamp_ms: float,
+    node_id: str,
 ) -> float:
-    """Charge one table operation against a battery and record it.
+    """Charge ``energy_mj`` against a battery and record it as ``operation``.
 
     A dead battery is left untouched (no entry, nothing debited), and the
     debit that empties it records only the charge that was left.
-    ``scale`` supports fractional charges such as an empty command poll.
     Returns the energy actually debited in mJ.
     """
     if battery.dead:
         return 0.0
-    energy_mj = battery.drain(table.operation(tag).energy_mj * scale)
-    ledger.add(timestamp_ms, node_id, tag_override or tag, energy_mj, battery.level_pct)
+    energy_mj = battery.drain(energy_mj)
+    ledger.add(timestamp_ms, node_id, operation, energy_mj, battery.level_pct)
     return energy_mj
 
 
@@ -194,9 +177,10 @@ def debit_sleep(
     timestamp_ms: float = 0.0,
     node_id: str = "",
 ) -> float:
-    """Charge a deep-sleep phase of the given duration. Returns mJ debited."""
-    if battery.dead:
-        return 0.0
-    energy_mj = battery.drain(table.sleep_energy_mj(sleep_ms))
-    ledger.add(timestamp_ms, node_id, "deep_sleep", energy_mj, battery.level_pct)
-    return energy_mj
+    """Charge a deep-sleep phase of the given duration. Returns mJ debited.
+
+    The engine debits sleep through ``debit`` with the cost its cycle plan
+    resolved; this wrapper stays while ``perfbench/tracer.py`` names it.
+    """
+    return debit(battery, ledger, "deep_sleep", table.sleep_energy_mj(sleep_ms),
+                 timestamp_ms, node_id)

@@ -22,13 +22,13 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from . import heuristics
-from .energy import EnergyLedger, debit, debit_sleep
+from .energy import EnergyLedger, debit
 from .model import (
     AnomalyTracker,
+    ConditionLabel,
     ConfigurationError,
     InferenceMode,
     NodeState,
-    SimClock,
     SimEvent,
     SimulationError,
     new_tracker,
@@ -200,7 +200,8 @@ class Simulator:
         self.params = scenario.params
         self.table = scenario.energy
         self.latency_model = scenario.latency
-        self.clock = SimClock()
+        self.anomaly_labels = scenario.anomaly_label_set()
+        self.now_ms = 0.0  # the timestamp of the event being handled
         self._heap: list[tuple[float, int, str, str, dict]] = []
         self._seq = 0
         self.records: list[SimEvent] = []
@@ -225,8 +226,6 @@ class Simulator:
             self.schedule(cmd.at_ms, "command-arrival", cmd.node_id, command=cmd.to_property_command())
 
     def _add_node(self, cfg) -> None:
-        if cfg.node_id in self.nodes:
-            raise ConfigurationError(f"duplicate node id {cfg.node_id!r}")
         node = SensorNode(
             node_id=cfg.node_id,
             mode=InferenceMode.parse(cfg.initial_mode),
@@ -252,10 +251,10 @@ class Simulator:
 
     def schedule(self, time_ms: float, kind: str, node_id: str, **data) -> None:
         """Queue an event; ties at equal timestamps keep insertion order."""
-        if time_ms < self.clock.now_ms:
+        if time_ms < self.now_ms:
             raise SimulationError(
                 f"event {kind} scheduled at {time_ms} ms, before current time "
-                f"{self.clock.now_ms} ms"
+                f"{self.now_ms} ms"
             )
         if kind not in _HANDLERS:
             raise SimulationError(f"no handler for event kind {kind!r}")
@@ -271,16 +270,16 @@ class Simulator:
         starts a new buffer, and it hands over the remainder once at the
         end, so the list returned is empty. The ledger stays complete.
         """
-        heap, advance_to = self._heap, self.clock.advance_to
+        heap = self._heap
         while heap and heap[0][0] <= t_end_ms:
-            time_ms, _, kind, node_id, data = heapq.heappop(heap)
-            advance_to(time_ms)
+            # ``schedule`` admits no past time, so the heap pops in time order
+            self.now_ms, _, kind, node_id, data = heapq.heappop(heap)
             _HANDLERS[kind](self, node_id, data)
             if sink is not None and len(self.records) >= SINK_BATCH_RECORDS:
                 sink(self.records)
                 self.records = []
-        if t_end_ms >= self.clock.now_ms:
-            self.clock.advance_to(t_end_ms)
+        if t_end_ms > self.now_ms:
+            self.now_ms = t_end_ms
         if sink is not None:
             sink(self.records)
             self.records = []
@@ -317,7 +316,7 @@ class Simulator:
         else:
             bits = tracker.bits
             bits_hex, length, sigma = format(bits, "x"), tracker.length, bits.bit_count()
-        event = SimEvent(self.clock.now_ms, node_id or "", kind, mode, state, bits_hex,
+        event = SimEvent(self.now_ms, node_id or "", kind, mode, state, bits_hex,
                          length, sigma, queue_len, latency_ms, battery_pct, detail)
         self.records.append(event)
         return event
@@ -328,9 +327,7 @@ class Simulator:
         oracle = self._oracles.get((node_id, mode))
         if oracle is None:
             oracle = self._oracles[(node_id, mode)] = ClassifierOracle.create(
-                self.scenario.seed, node_id, self.scenario.profiles[mode],
-                anomaly_labels=self.scenario.anomaly_label_set(),
-            )
+                self.scenario.seed, node_id, self.scenario.profiles[mode])
         return oracle
 
     def _rng(self, node_id: str, label: str) -> random.Random:
@@ -355,7 +352,7 @@ class Simulator:
         stage = data["stage"]
         self._record(node, "provision-stage", detail=PROVISIONING_STAGES[stage])
         if stage == len(PROVISIONING_STAGES) - 1:
-            self.schedule(self.clock.now_ms, "lifecycle", node.node_id,
+            self.schedule(self.now_ms, "lifecycle", node.node_id,
                           event=LifecycleEvent.PROVISIONING_COMPLETE)
 
     def _on_lifecycle(self, node_id: str, data: dict) -> None:
@@ -375,17 +372,17 @@ class Simulator:
         # config-reject leaves the node UNLOCKED awaiting operator input.
         if event is LifecycleEvent.PROVISIONING_COMPLETE:
             self.gateway.provisioned_nodes.append(node.node_id)
-            self.schedule(self.clock.now_ms + stage_ms, "lifecycle", node.node_id,
+            self.schedule(self.now_ms + stage_ms, "lifecycle", node.node_id,
                           event=LifecycleEvent.PROPERTIES_UPDATED)
         elif event is LifecycleEvent.RESET_COMMAND:
-            self.schedule(self.clock.now_ms + stage_ms, "lifecycle", node.node_id,
+            self.schedule(self.now_ms + stage_ms, "lifecycle", node.node_id,
                           event=LifecycleEvent.PROPERTIES_UPDATED)
         elif event is LifecycleEvent.PROPERTIES_UPDATED:
-            self.schedule(self.clock.now_ms + stage_ms, "lifecycle", node.node_id,
+            self.schedule(self.now_ms + stage_ms, "lifecycle", node.node_id,
                           event=LifecycleEvent.CONFIG_CONFIRM)
         elif event is LifecycleEvent.CONFIG_CONFIRM:
             node.epoch += 1  # cycle-starts left from an earlier WORKING spell go stale
-            self.schedule(self.clock.now_ms, "cycle-start", node.node_id, epoch=node.epoch)
+            self.schedule(self.now_ms, "cycle-start", node.node_id, epoch=node.epoch)
 
     # -- duty cycle -----------------------------------------------------
 
@@ -403,7 +400,7 @@ class Simulator:
             and node.mode is InferenceMode.SENSOR
             and (node.cycle_index + 1) % self.scenario.poll_every_cycles == 0
         )
-        plan = node.plan_cycle(self.clock.now_ms, self.table, poll_due=poll_due)
+        plan = node.plan_cycle(self.now_ms, self.table, poll_due=poll_due)
         for step in plan.steps:
             self.schedule(step.at_ms, "op", node.node_id, step=step)
         if plan.predict_at is not None:
@@ -418,32 +415,28 @@ class Simulator:
     def _on_op(self, node_id: str, data: dict) -> None:
         node = self.nodes[node_id]
         step: CycleStep = data["step"]
-        if step.energy_op == "sleep":
-            debit_sleep(node.battery, self.ledger, step.duration_ms, self.table,
-                        self.clock.now_ms, node.node_id)
-        elif step.energy_op is not None:
-            debit(node.battery, self.ledger, step.energy_op, self.table,
-                  self.clock.now_ms, node.node_id)
+        debit(node.battery, self.ledger, step.operation, step.energy_mj, self.now_ms, node_id)
         self._record(node, step.kind, detail=f"duration_ms={step.duration_ms}")
 
     # -- predictions ------------------------------------------------------
 
-    def _next_truth(self, node_id: str):
+    def _next_truth(self, node_id: str) -> ConditionLabel:
         step = self._pred_step[node_id]
         self._pred_step[node_id] = step + 1
-        return step, draw_ground_truth(self._truth[node_id], step)
+        return draw_ground_truth(self._truth[node_id], step)
 
     def _on_predict_local(self, node_id: str, data: dict) -> None:
         node = self.nodes[node_id]
         if node.state is not NodeState.WORKING:
             return
-        step, truth = self._next_truth(node.node_id)
-        prediction = self._oracle(node.node_id, InferenceMode.SENSOR).predict(truth, step)
-        node.tracker = heuristics.update_history(node.tracker, prediction.anomaly_bit, True)
+        truth = self._next_truth(node.node_id)
+        label = self._oracle(node.node_id, InferenceMode.SENSOR).predict(truth)
+        bit = 1 if label in self.anomaly_labels else 0
+        node.tracker = heuristics.update_history(node.tracker, bit, True)
         latency = self._latency(node.node_id, InferenceMode.SENSOR)
         self._record(
             node, "predict", tracker=node.tracker, latency_ms=latency,
-            detail=f"label={prediction.label.value} truth={truth.value}",
+            detail=f"label={label.value} truth={truth.value}",
         )
         if not self.scenario.adaptive:
             return
@@ -484,7 +477,7 @@ class Simulator:
             kind="prediction-request",
             src=node.node_id,
             dst="gateway" if node.mode is InferenceMode.GATEWAY else "cloud",
-            send_time_ms=self.clock.now_ms,
+            send_time_ms=self.now_ms,
             battery_pct=node.battery.level_pct,
         )
         self._record(node, "request-send", detail=f"dst={request.dst}")
@@ -492,11 +485,11 @@ class Simulator:
             self._rng(node.node_id, "drop").random() < self.scenario.drop_probability
         ):
             self.schedule(
-                self.clock.now_ms + self.scenario.request_timeout_ms,
+                self.now_ms + self.scenario.request_timeout_ms,
                 "request-timeout", node.node_id, request=request,
             )
             return
-        self.schedule(self.clock.now_ms, "tier-arrival", node.node_id, request=request)
+        self.schedule(self.now_ms, "tier-arrival", node.node_id, request=request)
 
     def _tier(self, name: str) -> Tier:
         return self.gateway if name == "gateway" else self.cloud
@@ -507,7 +500,7 @@ class Simulator:
         tier.queue.append(request)
         if not tier.busy:
             tier.busy = True
-            self.schedule(self.clock.now_ms + tier.service_ms, "tier-complete",
+            self.schedule(self.now_ms + tier.service_ms, "tier-complete",
                           request.src, tier=request.dst)
 
     def _on_tier_complete(self, node_id: str, data: dict) -> None:
@@ -515,7 +508,7 @@ class Simulator:
         request = tier.queue.popleft()
         self._handle_prediction(tier, request)
         if tier.queue:
-            self.schedule(self.clock.now_ms + tier.service_ms, "tier-complete",
+            self.schedule(self.now_ms + tier.service_ms, "tier-complete",
                           tier.queue[0].src, tier=data["tier"])
         else:
             tier.busy = False
@@ -528,17 +521,16 @@ class Simulator:
                          detail="unknown node")
             return
         queue_len = len(tier.queue)
-        step, truth = self._next_truth(node.node_id)
-        prediction = self._oracle(node.node_id, tier.mode).predict(truth, step)
-        tracker = heuristics.update_history(
-            tier.trackers[node.node_id], prediction.anomaly_bit, True
-        )
+        truth = self._next_truth(node.node_id)
+        label = self._oracle(node.node_id, tier.mode).predict(truth)
+        bit = 1 if label in self.anomaly_labels else 0
+        tracker = heuristics.update_history(tier.trackers[node.node_id], bit, True)
         tier.trackers[node.node_id] = tracker
         self._record(
             node, "predict", tracker=tracker,
             queue_len=queue_len if tier.mode is InferenceMode.GATEWAY else None,
             battery_pct=request.battery_pct,
-            detail=f"tier={tier.mode.value} label={prediction.label.value} truth={truth.value}",
+            detail=f"tier={tier.mode.value} label={label.value} truth={truth.value}",
         )
         if self.scenario.adaptive:
             if tier.mode is InferenceMode.GATEWAY:
@@ -552,24 +544,24 @@ class Simulator:
         if verdict is tier.mode:
             response = Message(
                 kind="blank-response", src=request.dst, dst=node.node_id,
-                send_time_ms=self.clock.now_ms,
+                send_time_ms=self.now_ms,
                 request_send_time_ms=request.send_time_ms,
             )
         else:
             response = Message(
                 kind="mode-command", src=request.dst, dst=node.node_id,
-                send_time_ms=self.clock.now_ms,
+                send_time_ms=self.now_ms,
                 request_send_time_ms=request.send_time_ms, mode=verdict,
             )
         delay = self._latency(node.node_id, tier.mode)
-        self.schedule(self.clock.now_ms + delay, "response-arrival", node.node_id,
+        self.schedule(self.now_ms + delay, "response-arrival", node.node_id,
                       response=response, origin=tier.mode)
 
     def _on_response_arrival(self, node_id: str, data: dict) -> None:
         node = self.nodes[node_id]
         response: Message = data["response"]
         origin: InferenceMode = data["origin"]
-        latency = measure_latency(response, self.clock.now_ms)
+        latency = measure_latency(response, self.now_ms)
         if response.kind == "blank-response":
             self._record(node, "response-blank", latency_ms=latency,
                          detail=f"origin={origin.value}")
@@ -641,21 +633,21 @@ class Simulator:
     def _on_poll(self, node_id: str, data: dict) -> None:
         node = self.nodes[node_id]
         pending = self.gateway.pending_commands[node.node_id]
+        radio = self.table.radio_tx
         if pending:
-            duration = self.table.radio_tx.duration_ms
-            debit(node.battery, self.ledger, "radio_tx", self.table,
-                  self.clock.now_ms, node.node_id, tag_override="radio_poll")
+            duration = radio.duration_ms
+            debit(node.battery, self.ledger, "radio_poll", radio.energy_mj,
+                  self.now_ms, node_id)
             self._record(node, "poll", detail=f"commands={len(pending)}")
             self._deliver_pending_commands(node)
         else:
             fraction = self.scenario.empty_poll_fraction
-            duration = self.table.radio_tx.duration_ms * fraction
-            debit(node.battery, self.ledger, "radio_tx", self.table,
-                  self.clock.now_ms, node.node_id,
-                  scale=fraction, tag_override="radio_poll_empty")
+            duration = radio.duration_ms * fraction
+            debit(node.battery, self.ledger, "radio_poll_empty", radio.energy_mj * fraction,
+                  self.now_ms, node_id)
             self._record(node, "poll-empty")
         if node.state is NodeState.WORKING:
-            self.schedule(self.clock.now_ms + duration, "cycle-start", node.node_id,
+            self.schedule(self.now_ms + duration, "cycle-start", node.node_id,
                           epoch=node.epoch)
 
 

@@ -2,7 +2,8 @@
 
 Pure functions over value types: no clock, no I/O, no randomness. The
 history update and the mode decisions are split so a caller can log the
-intermediate tracker state between the two steps.
+intermediate tracker state between the two steps. Each tier's tracker
+depth comes from ``HeuristicParams``, which validates it once.
 """
 
 from __future__ import annotations
@@ -45,11 +46,6 @@ def sensor_heuristic(
     unfilled history window defers any decision, and only then does the
     anomaly count get compared against the escalation threshold.
     """
-    if tracker.depth != params.history_depth_sensor:
-        raise ValueError(
-            f"tracker depth {tracker.depth} != sensor history depth "
-            f"{params.history_depth_sensor}"
-        )
     if battery_pct < params.low_battery_pct:
         return InferenceMode.SENSOR
     if not tracker.warmed_up:
@@ -73,13 +69,6 @@ def gateway_heuristic(
     room, and anything else (many anomalies, or a congested queue)
     escalates to the cloud.
     """
-    if tracker.depth != params.history_depth_gateway:
-        raise ValueError(
-            f"tracker depth {tracker.depth} != gateway history depth "
-            f"{params.history_depth_gateway}"
-        )
-    if queue_len < 0:
-        raise ValueError(f"queue length must be >= 0, got {queue_len}")
     if battery_pct < params.low_battery_pct:
         return InferenceMode.SENSOR
     if not tracker.warmed_up:
@@ -100,11 +89,6 @@ def cloud_heuristic(
     There is no escalation branch: the cloud is the top tier, so the else
     arm keeps the node where it is.
     """
-    if tracker.depth != params.history_depth_cloud:
-        raise ValueError(
-            f"tracker depth {tracker.depth} != cloud history depth "
-            f"{params.history_depth_cloud}"
-        )
     if battery_pct < params.low_battery_pct:
         return InferenceMode.SENSOR
     if not tracker.warmed_up:

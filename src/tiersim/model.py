@@ -1,7 +1,7 @@
 """Shared domain types for the tiered-inference network simulator.
 
 Value types only: inference modes, node lifecycle states, the anomaly
-history tracker, heuristic thresholds, battery state, and predictions.
+history tracker, heuristic thresholds, battery state, and trace records.
 Behavior lives in the other modules; everything here is constructors
 plus validation.
 """
@@ -65,12 +65,6 @@ class ConditionLabel(enum.IntEnum):
     ACCEPTABLE = 1
     UNSATISFACTORY = 2
     UNACCEPTABLE = 3
-
-
-#: Labels that count as an anomaly for the binary anomaly bit.
-DEFAULT_ANOMALY_LABELS = frozenset(
-    {ConditionLabel.UNSATISFACTORY, ConditionLabel.UNACCEPTABLE}
-)
 
 
 @dataclass(frozen=True)
@@ -210,28 +204,11 @@ class BatteryState:
         """Consume energy (millijoules); returns the mJ drawn.
 
         The drain that exhausts the battery clamps at capacity and draws
-        only the charge that was left.
+        only the charge that was left, so a dead battery draws 0.0.
         """
-        if self.dead:
-            return 0.0
         before_j = self.consumed_j
         self.consumed_j = min(self.capacity_j, before_j + energy_mj / 1000.0)
         return (self.capacity_j - before_j) * 1000.0 if self.dead else energy_mj
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """One classifier verdict for one node at one timestep."""
-
-    node_id: str
-    step: int
-    label: ConditionLabel
-    anomaly_bit: int
-    origin: InferenceMode
-
-    def __post_init__(self) -> None:
-        if self.anomaly_bit not in (0, 1):
-            raise ConfigurationError(f"anomaly bit must be 0 or 1, got {self.anomaly_bit}")
 
 
 @dataclass(slots=True)
@@ -255,15 +232,3 @@ class SimEvent:
     latency_ms: float | None = None
     battery_pct: float | None = None
     detail: str | None = None
-
-
-class SimClock:
-    """Monotonic simulation clock in milliseconds."""
-
-    def __init__(self, start_ms: float = 0.0) -> None:
-        self.now_ms = start_ms
-
-    def advance_to(self, t_ms: float) -> None:
-        if t_ms < self.now_ms:
-            raise SimulationError(f"clock moved backwards: {self.now_ms} -> {t_ms}")
-        self.now_ms = t_ms

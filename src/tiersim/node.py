@@ -115,12 +115,13 @@ class PropertyResponse:
 
 @dataclass(frozen=True)
 class CycleStep:
-    """One timed operation inside a duty cycle."""
+    """One timed operation inside a duty cycle and the energy it costs."""
 
     at_ms: float
     kind: str  # trace event kind
     duration_ms: float
-    energy_op: str | None  # "sleep" or an EnergyTable operation tag
+    operation: str  # energy ledger tag
+    energy_mj: float
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,6 @@ class CyclePlan:
     resolved by the engine at poll time.
     """
 
-    start_ms: float
     steps: tuple[CycleStep, ...]
     predict_at: float | None = None
     request_at: float | None = None
@@ -265,35 +265,34 @@ class SensorNode:
                 f"node {self.node_id} cannot run a cycle in state {self.state.value}"
             )
         self.cycle_index += 1
-        sleep = self.sleep_period_ms
+        sleep, sampling = self.sleep_period_ms, table.sampling
         steps = [
-            CycleStep(now_ms, "sleep", sleep, "sleep"),
-            CycleStep(now_ms + sleep, "sample", table.sampling.duration_ms, "sampling"),
+            CycleStep(now_ms, "sleep", sleep, "deep_sleep", table.sleep_energy_mj(sleep)),
+            CycleStep(now_ms + sleep, "sample", sampling.duration_ms, "sampling",
+                      sampling.energy_mj),
         ]
-        sampled = now_ms + sleep + table.sampling.duration_ms
+        sampled = now_ms + sleep + sampling.duration_ms
         if self.mode is InferenceMode.SENSOR:
-            steps.append(
-                CycleStep(sampled, "infer-local", table.local_inference.duration_ms,
-                          "local_inference")
-            )
-            done = sampled + table.local_inference.duration_ms
+            infer = table.local_inference
+            steps.append(CycleStep(sampled, "infer-local", infer.duration_ms,
+                                   "local_inference", infer.energy_mj))
+            done = sampled + infer.duration_ms
             return CyclePlan(
-                start_ms=now_ms,
                 steps=tuple(steps),
                 predict_at=done,
                 poll_at=done if poll_due else None,
                 end_ms=None if poll_due else done,
             )
-        steps.append(
-            CycleStep(sampled, "compress", table.compression.duration_ms, "compression")
-        )
-        tx_start = sampled + table.compression.duration_ms
-        steps.append(CycleStep(tx_start, "radio-tx", table.radio_tx.duration_ms, "radio_tx"))
+        compress, radio = table.compression, table.radio_tx
+        steps.append(CycleStep(sampled, "compress", compress.duration_ms, "compression",
+                               compress.energy_mj))
+        tx_start = sampled + compress.duration_ms
+        steps.append(CycleStep(tx_start, "radio-tx", radio.duration_ms, "radio_tx",
+                               radio.energy_mj))
         return CyclePlan(
-            start_ms=now_ms,
             steps=tuple(steps),
             request_at=tx_start,
-            end_ms=tx_start + table.radio_tx.duration_ms,
+            end_ms=tx_start + radio.duration_ms,
         )
 
 

@@ -12,13 +12,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .model import (
-    ConditionLabel,
-    ConfigurationError,
-    DEFAULT_ANOMALY_LABELS,
-    InferenceMode,
-    Prediction,
-)
+from .model import ConditionLabel, ConfigurationError, InferenceMode
 
 _LABELS = tuple(ConditionLabel)
 
@@ -137,36 +131,20 @@ def predict_label(
 
 @dataclass
 class ClassifierOracle:
-    """Prediction source for one node at one tier.
+    """Source of one node's predicted labels at one tier.
 
-    Owns its rng stream (derived from the master seed, node id, and tier)
-    and maps predicted labels to the binary anomaly bit the heuristics
-    consume.
+    Owns its rng stream, derived from the master seed, node id, and tier.
     """
 
-    node_id: str
     profile: TierAccuracyProfile
     rng: random.Random
-    anomaly_labels: frozenset[ConditionLabel] = DEFAULT_ANOMALY_LABELS
 
     @classmethod
     def create(
-        cls,
-        master_seed: int,
-        node_id: str,
-        profile: TierAccuracyProfile,
-        anomaly_labels: frozenset[ConditionLabel] = DEFAULT_ANOMALY_LABELS,
+        cls, master_seed: int, node_id: str, profile: TierAccuracyProfile
     ) -> "ClassifierOracle":
         seed = derive_seed(master_seed, node_id, profile.tier.value, "predict")
-        return cls(node_id=node_id, profile=profile, rng=random.Random(seed),
-                   anomaly_labels=anomaly_labels)
+        return cls(profile=profile, rng=random.Random(seed))
 
-    def predict(self, true_label: ConditionLabel, step: int) -> Prediction:
-        label = predict_label(self.profile, true_label, self.rng)
-        return Prediction(
-            node_id=self.node_id,
-            step=step,
-            label=label,
-            anomaly_bit=1 if label in self.anomaly_labels else 0,
-            origin=self.profile.tier,
-        )
+    def predict(self, true_label: ConditionLabel) -> ConditionLabel:
+        return predict_label(self.profile, true_label, self.rng)

@@ -78,6 +78,14 @@ class TimedCommand:
         return PropertyCommand(self.node_id, self.name, method, self.value)
 
 
+class _EntryError(ConfigurationError):
+    """A check of a whole object that one entry of it fails; ``where`` names the entry."""
+
+    def __init__(self, where: str, message: str) -> None:
+        super().__init__(message)
+        self.where = where
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Validated inputs for one simulation run."""
@@ -112,9 +120,9 @@ class Scenario:
         if self.duration_ms < 0:
             raise ConfigurationError(f"duration_ms must be >= 0, got {self.duration_ms}")
         seen = set()
-        for cfg in self.nodes:
+        for i, cfg in enumerate(self.nodes):
             if cfg.node_id in seen:
-                raise ConfigurationError(f"duplicate node id {cfg.node_id!r}")
+                raise _EntryError(f"nodes[{i}]", f"duplicate node id {cfg.node_id!r}")
             seen.add(cfg.node_id)
         for mode in InferenceMode:
             if mode not in self.profiles:
@@ -268,6 +276,8 @@ def _load(cls, raw, source: str, path: str, base=None):
     kwargs = _collect(_table(cls), raw, source, path, {})
     try:
         return cls(**kwargs) if base is None else replace(base, **kwargs)
+    except _EntryError as err:
+        raise _LocatedError(source, f"{path}.{err.where}" if path else err.where, err) from None
     except (TypeError, ValueError) as err:
         raise _LocatedError(source, path, err) from None
 

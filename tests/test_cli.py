@@ -112,6 +112,8 @@ def test_invalid_values_rejected():
         scenario_from_dict({"nodes": [{"battery_voltage_v": 0}]})  # caught at load, not at run time
     with pytest.raises(ConfigurationError, match=r"^<scenario>: energy\.radio_tx: operation"):
         scenario_from_dict({"energy": {"radio_tx": {"energy_mj": -1}}})
+    with pytest.raises(ConfigurationError, match=r"^<scenario>: nodes\[1\]: duplicate node id 'a'"):
+        scenario_from_dict({"nodes": [{"node_id": "a"}, {"node_id": "a"}]})
 
 
 @pytest.mark.parametrize("doc, path", [
@@ -230,7 +232,7 @@ def test_cli_runtime_abort_exits_3_without_artifacts(tmp_path, monkeypatch, caps
     # No valid scenario aborts at run time, so the commands' arrival is made
     # to schedule an event in the past, after several batches were written.
     def schedule_in_the_past(sim, node_id, data):
-        sim.schedule(sim.clock.now_ms - 1.0, "poll", node_id)
+        sim.schedule(sim.now_ms - 1.0, "poll", node_id)
 
     monkeypatch.setitem(tiersim.engine._HANDLERS, "command-arrival", schedule_in_the_past)
     writes = []

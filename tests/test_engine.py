@@ -209,6 +209,27 @@ def test_unknown_node_request_is_dropped_with_warning():
     assert drops and drops[0].node_id == "nobody"
 
 
+@pytest.mark.parametrize("labels", [None, (0,)], ids=["default", "good-only"])
+def test_history_bit_marks_the_scenario_anomaly_labels(labels):
+    # Perfect classifiers predict the truth, so each predict row's newest
+    # history bit must say whether the truth is one of the anomaly labels.
+    extra = {} if labels is None else {"anomaly_labels": labels}
+    plan = scenario(
+        duration_ms=600_000.0, profiles=PERFECT, anomaly_probability=0.5,
+        nodes=(NodeConfig("s", "S"), NodeConfig("g", "G"), NodeConfig("c", "C")), **extra,
+    )
+    anomalous = set(plan.anomaly_labels)
+    assert anomalous == ({2, 3} if labels is None else {0})
+    seen = {"S": 0, "G": 0, "C": 0}
+    for r in Simulator(plan).run():
+        if r.kind != "predict":
+            continue
+        fields = dict(item.split("=") for item in r.detail.split())
+        seen[fields.get("tier", "S")] += 1
+        assert int(r.history_hex, 16) & 1 == (int(fields["truth"]) in anomalous), r
+    assert all(seen.values()), seen
+
+
 def test_tracker_isolation_across_nodes():
     plan = scenario(
         duration_ms=300_000.0,

@@ -115,11 +115,6 @@ def test_sensor_waits_for_history_fill():
     assert sensor_heuristic(tracker, 90.0, PARAMS) is S
 
 
-def test_sensor_rejects_wrong_depth():
-    with pytest.raises(ValueError):
-        sensor_heuristic(new_tracker(16), 50.0, PARAMS)
-
-
 # -- gateway heuristic -------------------------------------------------------
 
 def gateway_tracker(sigma: int, tau: int) -> AnomalyTracker:

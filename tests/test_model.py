@@ -12,7 +12,6 @@ from tiersim import (
     HeuristicParams,
     InferenceMode,
     NodeState,
-    Prediction,
     new_tracker,
 )
 
@@ -123,12 +122,6 @@ def test_params_depth_lookup():
     assert params.history_depth(S) == 32
     assert params.history_depth(G) == 16
     assert params.history_depth(C) == 8
-
-
-def test_prediction_validates_bit():
-    Prediction("n", 0, ConditionLabel.GOOD, 0, S)
-    with pytest.raises(ConfigurationError):
-        Prediction("n", 0, ConditionLabel.GOOD, 2, S)
 
 
 def test_condition_labels():

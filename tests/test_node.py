@@ -156,7 +156,7 @@ def test_onboard_cycle_layout_and_additivity():
     assert kinds == ["sleep", "sample", "infer-local"]
     assert plan.predict_at == 1_000.0 + 30_000.0 + 10_000.0 + 14.0
     assert plan.end_ms == plan.predict_at
-    assert plan.end_ms - plan.start_ms == 40_014.0  # sleep + active, exactly
+    assert plan.end_ms - 1_000.0 == 40_014.0  # sleep + active, exactly
     assert plan.request_at is None and plan.poll_at is None
 
 
@@ -168,7 +168,7 @@ def test_offboard_cycle_layout_and_additivity():
     assert plan.request_at == 40_050.0
     assert plan.end_ms == 44_750.0
     durations = sum(s.duration_ms for s in plan.steps)
-    assert plan.end_ms - plan.start_ms == durations
+    assert plan.end_ms == durations  # the cycle starts at 0.0
 
 
 def test_poll_cycle_defers_end():

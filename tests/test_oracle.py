@@ -111,7 +111,7 @@ def test_oracle_reproducible_per_seed_node_tier():
         oracle = ClassifierOracle.create(99, "node-0", DEFAULT_PROFILES[G])
         truth = GroundTruthProcess(seed=derive_seed(99, "node-0", "truth"))
         runs.append([
-            oracle.predict(draw_ground_truth(truth, t), t).label for t in range(300)
+            oracle.predict(draw_ground_truth(truth, t)) for t in range(300)
         ])
     assert runs[0] == runs[1]
 
@@ -121,15 +121,6 @@ def test_oracle_streams_differ_across_nodes_and_tiers():
     other_node = ClassifierOracle.create(99, "node-1", DEFAULT_PROFILES[S])
     other_tier = ClassifierOracle.create(99, "node-0", DEFAULT_PROFILES[G])
     labels = [ConditionLabel.GOOD] * 200
-    out = lambda o: [o.predict(lbl, t).label for t, lbl in enumerate(labels)]
+    out = lambda o: [o.predict(lbl) for lbl in labels]
     a, b, c = out(base), out(other_node), out(other_tier)
     assert a != b and a != c
-
-
-def test_anomaly_bit_matches_label_partition():
-    oracle = ClassifierOracle.create(1, "n", DEFAULT_PROFILES[S])
-    truth = GroundTruthProcess(seed=2, anomaly_probability=0.5)
-    for t in range(2000):
-        prediction = oracle.predict(draw_ground_truth(truth, t), t)
-        assert prediction.anomaly_bit == (1 if prediction.label in ANOMALOUS else 0)
-        assert prediction.origin is S
