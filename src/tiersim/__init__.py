@@ -49,7 +49,7 @@ from .node import (
     PropertyResponse,
     SensorNode,
 )
-from .engine import LatencyModel, Message, Simulator, measure_latency
+from .engine import LatencyModel, Simulator
 from .scenario import (
     NodeConfig,
     PRESETS,

@@ -65,20 +65,26 @@ class EnergyTable:
         # uA * V = uW; uW * ms = nJ; /1e6 -> mJ
         return self.deep_sleep_current_ua * self.supply_voltage_v * sleep_ms / 1e6
 
-    def active_energy_mj(self, mode: InferenceMode) -> float:
-        """Active-phase energy: sample+infer on device, sample+compress+transmit off device."""
+    def active_phase(self, mode: InferenceMode) -> tuple[tuple[str, str, OperationCost], ...]:
+        """(trace kind, ledger tag, cost) of each active-phase operation, in order."""
         if mode is InferenceMode.SENSOR:
-            return self.sampling.energy_mj + self.local_inference.energy_mj
-        return self.sampling.energy_mj + self.compression.energy_mj + self.radio_tx.energy_mj
+            return (("sample", "sampling", self.sampling),
+                    ("infer-local", "local_inference", self.local_inference))
+        return (("sample", "sampling", self.sampling),
+                ("compress", "compression", self.compression),
+                ("radio-tx", "radio_tx", self.radio_tx))
+
+    def active_energy_mj(self, mode: InferenceMode) -> float:
+        total = 0.0  # a plain loop: sum() of floats may compensate
+        for _, _, cost in self.active_phase(mode):
+            total += cost.energy_mj
+        return total
 
     def active_duration_ms(self, mode: InferenceMode) -> float:
-        if mode is InferenceMode.SENSOR:
-            return self.sampling.duration_ms + self.local_inference.duration_ms
-        return (
-            self.sampling.duration_ms
-            + self.compression.duration_ms
-            + self.radio_tx.duration_ms
-        )
+        total = 0.0
+        for _, _, cost in self.active_phase(mode):
+            total += cost.duration_ms
+        return total
 
 
 def cycle_energy(mode: InferenceMode, sleep_ms: float, table: EnergyTable) -> float:

@@ -1,10 +1,10 @@
 """Deterministic discrete-event engine for the three-tier network.
 
-Binds sensor nodes, one gateway tier, and one cloud tier: message
-delivery under a per-mode latency model, the gateway inference queue,
-per-node-per-tier anomaly histories, heuristic invocation after every
-prediction, and the blank-response mechanism that lets nodes measure
-round-trip inference latency.
+Binds sensor nodes, one gateway tier, and one cloud tier: request and
+response events under a per-mode latency model, the gateway inference
+queue, per-node-per-tier anomaly histories, heuristic invocation after
+every prediction, and the blank-response mechanism that lets nodes
+measure round-trip inference latency.
 
 Determinism: events execute in (timestamp, insertion sequence) order and
 every random stream is derived from the scenario seed by labeled
@@ -70,19 +70,6 @@ MODE_TRANSITION_GRAPH: dict[InferenceMode, frozenset[InferenceMode]] = {
 
 
 @dataclass(frozen=True)
-class Message:
-    """One wire message between a node and a tier."""
-
-    kind: str
-    src: str
-    dst: str
-    send_time_ms: float
-    battery_pct: float | None = None
-    request_send_time_ms: float | None = None  # echoed in every response
-    mode: InferenceMode | None = None  # commanded mode for mode-command
-
-
-@dataclass(frozen=True)
 class LatencyModel:
     """Per-mode end-to-end response latency, optionally jittered.
 
@@ -135,19 +122,6 @@ class LatencyModel:
         )
 
 
-def measure_latency(response: Message, now_ms: float) -> float:
-    """Round-trip latency of a response: now minus the echoed request send time."""
-    if response.request_send_time_ms is None:
-        raise SimulationError(f"response {response.kind} does not echo a request send time")
-    latency = now_ms - response.request_send_time_ms
-    if latency < 0:
-        raise SimulationError(
-            f"negative latency {latency} ms for response sent at "
-            f"{response.request_send_time_ms} ms"
-        )
-    return latency
-
-
 @dataclass
 class Tier:
     """One offboard inference tier: a FIFO request queue and per-node histories."""
@@ -155,7 +129,8 @@ class Tier:
     mode: InferenceMode
     service_ms: float
     depth: int
-    queue: deque[Message] = field(default_factory=deque)
+    # each queued request is (node_id, sent_ms, battery_pct)
+    queue: deque[tuple[str, float, float]] = field(default_factory=deque)
     busy: bool = False
     trackers: dict[str, AnomalyTracker] = field(default_factory=dict)
 
@@ -473,107 +448,80 @@ class Simulator:
         self._deliver_pending_commands(node)
         if node.state is not NodeState.WORKING or node.mode is InferenceMode.SENSOR:
             return  # a delivered command idled or de-escalated the node mid-window
-        request = Message(
-            kind="prediction-request",
-            src=node.node_id,
-            dst="gateway" if node.mode is InferenceMode.GATEWAY else "cloud",
-            send_time_ms=self.now_ms,
-            battery_pct=node.battery.level_pct,
-        )
-        self._record(node, "request-send", detail=f"dst={request.dst}")
+        if node.mode is InferenceMode.GATEWAY:
+            tier, dst = self.gateway, "dst=gateway"
+        else:
+            tier, dst = self.cloud, "dst=cloud"
+        battery_pct = node.battery.level_pct
+        self._record(node, "request-send", battery_pct=battery_pct, detail=dst)
         if self.scenario.drop_probability > 0 and (
-            self._rng(node.node_id, "drop").random() < self.scenario.drop_probability
+            self._rng(node_id, "drop").random() < self.scenario.drop_probability
         ):
-            self.schedule(
-                self.now_ms + self.scenario.request_timeout_ms,
-                "request-timeout", node.node_id, request=request,
-            )
+            self.schedule(self.now_ms + self.scenario.request_timeout_ms,
+                          "request-timeout", node_id)
             return
-        self.schedule(self.now_ms, "tier-arrival", node.node_id, request=request)
-
-    def _tier(self, name: str) -> Tier:
-        return self.gateway if name == "gateway" else self.cloud
+        # the request reaches its tier the instant it is sent
+        self.schedule(self.now_ms, "tier-arrival", node_id, tier=tier, battery_pct=battery_pct)
 
     def _on_tier_arrival(self, node_id: str, data: dict) -> None:
-        request: Message = data["request"]
-        tier = self._tier(request.dst)
-        tier.queue.append(request)
+        tier: Tier = data["tier"]
+        tier.queue.append((node_id, self.now_ms, data["battery_pct"]))
         if not tier.busy:
             tier.busy = True
-            self.schedule(self.now_ms + tier.service_ms, "tier-complete",
-                          request.src, tier=request.dst)
+            self.schedule(self.now_ms + tier.service_ms, "tier-complete", node_id, tier=tier)
 
     def _on_tier_complete(self, node_id: str, data: dict) -> None:
-        tier = self._tier(data["tier"])
-        request = tier.queue.popleft()
-        self._handle_prediction(tier, request)
+        tier: Tier = data["tier"]
+        self._handle_prediction(tier, *tier.queue.popleft())
         if tier.queue:
             self.schedule(self.now_ms + tier.service_ms, "tier-complete",
-                          tier.queue[0].src, tier=data["tier"])
+                          tier.queue[0][0], tier=tier)
         else:
             tier.busy = False
 
-    def _handle_prediction(self, tier: Tier, request: Message) -> None:
+    def _handle_prediction(self, tier: Tier, node_id: str, sent_ms: float,
+                           battery_pct: float) -> None:
         """Serve one queued request: predict, update history, run the heuristic."""
-        node = self.nodes.get(request.src)
-        if node is None:
-            self._record(None, "request-dropped", node_id=request.src,
-                         detail="unknown node")
-            return
+        node = self.nodes[node_id]
         queue_len = len(tier.queue)
-        truth = self._next_truth(node.node_id)
-        label = self._oracle(node.node_id, tier.mode).predict(truth)
+        truth = self._next_truth(node_id)
+        label = self._oracle(node_id, tier.mode).predict(truth)
         bit = 1 if label in self.anomaly_labels else 0
-        tracker = heuristics.update_history(tier.trackers[node.node_id], bit, True)
-        tier.trackers[node.node_id] = tracker
+        tracker = heuristics.update_history(tier.trackers[node_id], bit, True)
+        tier.trackers[node_id] = tracker
         self._record(
             node, "predict", tracker=tracker,
             queue_len=queue_len if tier.mode is InferenceMode.GATEWAY else None,
-            battery_pct=request.battery_pct,
+            battery_pct=battery_pct,
             detail=f"tier={tier.mode.value} label={label.value} truth={truth.value}",
         )
-        if self.scenario.adaptive:
-            if tier.mode is InferenceMode.GATEWAY:
-                verdict = heuristics.gateway_heuristic(
-                    tracker, request.battery_pct, queue_len, self.params
-                )
-            else:
-                verdict = heuristics.cloud_heuristic(tracker, request.battery_pct, self.params)
-        else:
+        if not self.scenario.adaptive:
             verdict = tier.mode
-        if verdict is tier.mode:
-            response = Message(
-                kind="blank-response", src=request.dst, dst=node.node_id,
-                send_time_ms=self.now_ms,
-                request_send_time_ms=request.send_time_ms,
-            )
+        elif tier.mode is InferenceMode.GATEWAY:
+            verdict = heuristics.gateway_heuristic(tracker, battery_pct, queue_len, self.params)
         else:
-            response = Message(
-                kind="mode-command", src=request.dst, dst=node.node_id,
-                send_time_ms=self.now_ms,
-                request_send_time_ms=request.send_time_ms, mode=verdict,
-            )
-        delay = self._latency(node.node_id, tier.mode)
-        self.schedule(self.now_ms + delay, "response-arrival", node.node_id,
-                      response=response, origin=tier.mode)
+            verdict = heuristics.cloud_heuristic(tracker, battery_pct, self.params)
+        delay = self._latency(node_id, tier.mode)
+        self.schedule(self.now_ms + delay, "response-arrival", node_id,
+                      sent_ms=sent_ms, origin=tier.mode, verdict=verdict)
 
     def _on_response_arrival(self, node_id: str, data: dict) -> None:
+        """A tier's answer reaches the node: blank when the tier keeps it, else a command."""
         node = self.nodes[node_id]
-        response: Message = data["response"]
         origin: InferenceMode = data["origin"]
-        latency = measure_latency(response, self.now_ms)
-        if response.kind == "blank-response":
+        verdict: InferenceMode = data["verdict"]
+        latency = self.now_ms - data["sent_ms"]
+        if verdict is origin:
             self._record(node, "response-blank", latency_ms=latency,
                          detail=f"origin={origin.value}")
             return
         self._record(node, "mode-command", latency_ms=latency,
-                     detail=f"origin={origin.value} mode={response.mode.value}")
-        self._apply_mode_change(node, response.mode,
-                                origin=f"{origin.value}-heuristic")
+                     detail=f"origin={origin.value} mode={verdict.value}")
+        if node.mode is origin:  # a tier the node has left no longer decides for it
+            self._apply_mode_change(node, verdict, origin=f"{origin.value}-heuristic")
 
     def _on_request_timeout(self, node_id: str, data: dict) -> None:
-        node = self.nodes[node_id]
-        self._record(node, "request-timeout", detail="no response before timeout")
+        self._record(self.nodes[node_id], "request-timeout", detail="no response before timeout")
 
     # -- commands -----------------------------------------------------
 

@@ -265,35 +265,17 @@ class SensorNode:
                 f"node {self.node_id} cannot run a cycle in state {self.state.value}"
             )
         self.cycle_index += 1
-        sleep, sampling = self.sleep_period_ms, table.sampling
-        steps = [
-            CycleStep(now_ms, "sleep", sleep, "deep_sleep", table.sleep_energy_mj(sleep)),
-            CycleStep(now_ms + sleep, "sample", sampling.duration_ms, "sampling",
-                      sampling.energy_mj),
-        ]
-        sampled = now_ms + sleep + sampling.duration_ms
+        sleep = self.sleep_period_ms
+        steps = [CycleStep(now_ms, "sleep", sleep, "deep_sleep", table.sleep_energy_mj(sleep))]
+        at = now_ms + sleep
+        for kind, operation, cost in table.active_phase(self.mode):
+            steps.append(CycleStep(at, kind, cost.duration_ms, operation, cost.energy_mj))
+            at += cost.duration_ms
         if self.mode is InferenceMode.SENSOR:
-            infer = table.local_inference
-            steps.append(CycleStep(sampled, "infer-local", infer.duration_ms,
-                                   "local_inference", infer.energy_mj))
-            done = sampled + infer.duration_ms
-            return CyclePlan(
-                steps=tuple(steps),
-                predict_at=done,
-                poll_at=done if poll_due else None,
-                end_ms=None if poll_due else done,
-            )
-        compress, radio = table.compression, table.radio_tx
-        steps.append(CycleStep(sampled, "compress", compress.duration_ms, "compression",
-                               compress.energy_mj))
-        tx_start = sampled + compress.duration_ms
-        steps.append(CycleStep(tx_start, "radio-tx", radio.duration_ms, "radio_tx",
-                               radio.energy_mj))
-        return CyclePlan(
-            steps=tuple(steps),
-            request_at=tx_start,
-            end_ms=tx_start + radio.duration_ms,
-        )
+            return CyclePlan(tuple(steps), predict_at=at, poll_at=at if poll_due else None,
+                             end_ms=None if poll_due else at)
+        # the request leaves when the radio starts transmitting
+        return CyclePlan(steps=tuple(steps), request_at=steps[-1].at_ms, end_ms=at)
 
 
 def _event_for_target_state(current: NodeState, target: NodeState) -> LifecycleEvent | None:

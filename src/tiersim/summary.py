@@ -148,12 +148,12 @@ class _LatencyMatcher:
     On-device predictions carry their latency directly. An offboard
     response carries the measured latency and is matched to its node's
     outstanding request sent at ``timestamp_ms - latency_ms``, taking the
-    nearest send time because the subtraction may round. A dropped request
-    stays outstanding until its timeout, so the oldest request is not
-    always the one answered. The mode recorded at send time names the
-    serving tier. A timeout retires the node's oldest outstanding request,
-    since every timeout has the same length. Requests still outstanding at
-    the end of a batch carry over to the next.
+    nearest send time because the subtraction may round. The mode recorded
+    at send time names the serving tier. A dropped request is never
+    answered, and its send time is never the nearest to an answer's, so it
+    stays outstanding; a timeout retires nothing, because the request it
+    names may be one still in service. Requests still outstanding at the
+    end of a batch carry over to the next.
     """
 
     def __init__(self) -> None:
@@ -174,16 +174,14 @@ class _LatencyMatcher:
                     raise ConfigurationError(
                         f"response for {r.node_id} at {r.timestamp_ms} ms without a request"
                     )
-                i = 0
-                if len(pending) > 1:
-                    sent = r.timestamp_ms - r.latency_ms
-                    i = min(range(len(pending)), key=lambda k: abs(pending[k][0] - sent))
+                # Send times rise along the list, so the distance to ``sent``
+                # falls and then rises: scan back from the newest to its minimum.
+                sent = r.timestamp_ms - r.latency_ms
+                i = len(pending) - 1
+                while i and abs(pending[i - 1][0] - sent) < abs(pending[i][0] - sent):
+                    i -= 1
                 origin = pending.pop(i)[1]
                 series.append(LatencySample(r.timestamp_ms, r.node_id, origin, r.latency_ms))
-            elif kind == "request-timeout":
-                pending = outstanding.get(r.node_id)
-                if pending:
-                    pending.pop(0)
         return series
 
 

@@ -228,6 +228,24 @@ def test_streamed_artifacts_match_the_whole_list_writers(tmp_path, name):
     assert stored == summarize(read_trace_csv(streamed / "trace.csv"), scenario).to_dict()
 
 
+def test_command_from_a_tier_the_node_has_left_is_not_applied(tmp_path):
+    # n0 moves G -> S while its backlog at the slow gateway is still being
+    # answered; one late answer commands C, which S cannot reach directly.
+    doc = {
+        "seed": 3599, "nodes": [{"node_id": "n0", "sleep_period_ms": 5000}, {"node_id": "n1"}],
+        "heuristics": {"queue_limit": 1}, "gateway_service_ms": 20000,
+        "drop_probability": 0.2, "request_timeout_ms": 1000,
+        "commands": [{"at_ms": 0, "node_id": "n0", "name": "inference_mode", "value": "C"}],
+    }
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    rows = map(json.loads, (tmp_path / "out" / "trace.jsonl").read_text().splitlines())
+    ignored = [r["detail"] for r in rows if r["event_kind"] == "mode-command"
+               and r["node_id"] == "n0" and r["mode"] != "G"]
+    assert "origin=G mode=C" in ignored  # recorded, not applied
+
+
 def test_cli_runtime_abort_exits_3_without_artifacts(tmp_path, monkeypatch, capsys):
     # No valid scenario aborts at run time, so the commands' arrival is made
     # to schedule an event in the past, after several batches were written.

@@ -1,4 +1,4 @@
-"""Tests for the discrete-event engine: scheduling, tiers, messaging."""
+"""Tests for the discrete-event engine: scheduling, tiers, requests and responses."""
 
 import dataclasses
 import gc
@@ -9,12 +9,10 @@ import pytest
 from tiersim import (
     InferenceMode,
     LatencyModel,
-    Message,
     NodeConfig,
     Scenario,
     SimulationError,
     Simulator,
-    measure_latency,
 )
 from tiersim.node import LifecycleEvent
 from tiersim.oracle import TierAccuracyProfile
@@ -157,6 +155,23 @@ def test_quiet_cloud_node_steps_down_one_tier():
     assert changes[0].mode == "G" and changes[0].detail == "C-heuristic"
 
 
+def test_gateway_mode_command_reaching_an_idle_node_is_applied():
+    # A 20 s gateway service backs requests up for minutes, so answers to
+    # requests sent before the IDLE command keep arriving after it.
+    # Operator commands apply at once outside WORKING; a tier's does too.
+    plan = Scenario(
+        duration_ms=1_800_000.0, seed=3, nodes=(NodeConfig(initial_mode="G"),),
+        gateway_service_ms=20_000.0,
+        commands=(TimedCommand(900_000.0, "node-0", "state", "SET", "IDLE"),),
+    )
+    records = Simulator(plan).run()
+    [i] = [i for i, r in enumerate(records) if r.kind == "mode-command" and r.state == "IDLE"]
+    command, change = records[i], records[i + 1]
+    assert command.timestamp_ms > 900_000.0 and command.detail == "origin=G mode=S"
+    assert (change.kind, change.detail, change.mode, change.state) == \
+        ("mode-change", "G-heuristic", "S", "IDLE")
+
+
 def test_mode_transitions_follow_the_legal_graph():
     plan = Scenario(duration_ms=1_800_000.0)
     records = Simulator(plan).run()
@@ -196,19 +211,6 @@ def test_dropped_requests_time_out():
     assert requests == blanks + timeouts
 
 
-def test_unknown_node_request_is_dropped_with_warning():
-    sim = Simulator(scenario(duration_ms=1_000.0))
-    sim.run_until(700.0)
-    ghost = Message(
-        kind="prediction-request", src="nobody", dst="gateway",
-        send_time_ms=700.0, battery_pct=50.0,
-    )
-    sim.gateway.queue.append(ghost)
-    sim._handle_prediction(sim.gateway, sim.gateway.queue.popleft())
-    drops = [r for r in sim.records if r.kind == "request-dropped"]
-    assert drops and drops[0].node_id == "nobody"
-
-
 @pytest.mark.parametrize("labels", [None, (0,)], ids=["default", "good-only"])
 def test_history_bit_marks_the_scenario_anomaly_labels(labels):
     # Perfect classifiers predict the truth, so each predict row's newest
@@ -240,11 +242,8 @@ def test_tracker_isolation_across_nodes():
     sim = Simulator(plan)
     sim.run_until(700.0)
     before = sim.gateway.trackers["b"]
-    request = Message(kind="prediction-request", src="a", dst="gateway",
-                      send_time_ms=700.0, battery_pct=99.0)
     for _ in range(10):
-        sim.gateway.queue.append(request)
-        sim._handle_prediction(sim.gateway, sim.gateway.queue.popleft())
+        sim._handle_prediction(sim.gateway, "a", 700.0, 99.0)
     assert sim.gateway.trackers["b"] == before
     assert sim.gateway.trackers["a"].length == 10
 
@@ -284,32 +283,6 @@ def test_latency_includes_queue_wait_under_load():
     # first served: constant + service; last served: + two queue waits
     assert latencies[0] == pytest.approx(148.15 + 200.0, abs=1e-6)
     assert latencies[-1] == pytest.approx(148.15 + 3 * 200.0, abs=1e-6)
-
-
-# -- measure_latency ---------------------------------------------------------
-
-def response_at(send: float) -> Message:
-    return Message(kind="blank-response", src="gateway", dst="n",
-                   send_time_ms=send, request_send_time_ms=send)
-
-
-def test_measure_latency_subtracts_send_time():
-    assert measure_latency(response_at(1_000.0), 1_148.15) == pytest.approx(148.15)
-
-
-def test_measure_latency_zero_is_allowed():
-    assert measure_latency(response_at(5.0), 5.0) == 0.0
-
-
-def test_measure_latency_rejects_negative():
-    with pytest.raises(SimulationError):
-        measure_latency(response_at(10.0), 9.0)
-
-
-def test_measure_latency_requires_echo():
-    bare = Message(kind="blank-response", src="g", dst="n", send_time_ms=1.0)
-    with pytest.raises(SimulationError):
-        measure_latency(bare, 2.0)
 
 
 # -- command delivery and polling ---------------------------------------------

@@ -1,23 +1,33 @@
 """Cross-module invariants checked over whole simulation traces."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiersim import (
     BatteryState,
     EnergyTable,
+    HeuristicParams,
     InferenceMode,
+    LatencyModel,
     NodeConfig,
     NodeState,
     Scenario,
     Simulator,
     battery_life_bound,
     cycle_energy,
+    extract_latency_series,
+    read_trace_csv,
+    summarize,
 )
 from tiersim.node import LifecycleEvent, TRANSITIONS
 from tiersim.oracle import TierAccuracyProfile
 from tiersim.scenario import TimedCommand
+from tiersim.summary import RESPONSE_KINDS, write_trace_csv
 
 S, G, C = InferenceMode.SENSOR, InferenceMode.GATEWAY, InferenceMode.CLOUD
 TABLE = EnergyTable()
@@ -132,3 +142,81 @@ def test_battery_level_non_increasing_over_trace():
             continue  # tier rows echo the level attached at send time
         assert r.battery_pct <= last + 1e-12
         last = r.battery_pct
+
+
+# -- invariants under random fleets and operator scripts ----------------------
+
+_COMMAND_VALUES = {
+    "state": st.sampled_from([s.value for s in NodeState]),
+    "inference_mode": st.sampled_from(["S", "G", "C"]),
+    "sleep_period": st.sampled_from([0, 1_000, 5_000, 30_000]),
+}
+
+
+@st.composite
+def _fuzzed_scenarios(draw):
+    nodes = tuple(
+        NodeConfig(
+            node_id=f"n{i}",
+            initial_mode=draw(st.sampled_from(["S", "G", "C"])),
+            sleep_period_ms=draw(st.sampled_from([0.0, 5_000.0, 30_000.0])),
+            battery_capacity_j=draw(st.floats(40.0, 18_648.0)),
+        )
+        for i in range(draw(st.integers(1, 8)))
+    )
+    commands = []
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(st.sampled_from(sorted(_COMMAND_VALUES)))
+        commands.append(TimedCommand(
+            at_ms=float(draw(st.integers(0, 1_800_000))),
+            node_id=draw(st.sampled_from([n.node_id for n in nodes])),
+            name=name, method="SET", value=draw(_COMMAND_VALUES[name]),
+        ))
+    return Scenario(
+        duration_ms=1_800_000.0,
+        seed=draw(st.integers(0, 2**16)),
+        nodes=nodes,
+        params=HeuristicParams(queue_limit=draw(st.sampled_from([1, 4]))),
+        latency=LatencyModel().with_jitter_fraction(draw(st.floats(0.0, 0.9))),
+        gateway_service_ms=draw(st.floats(0.0, 20_000.0)),
+        cloud_service_ms=draw(st.floats(0.0, 5_000.0)),
+        adaptive=draw(st.booleans()),
+        drop_probability=draw(st.floats(0.0, 0.6)),
+        request_timeout_ms=draw(st.floats(1_000.0, 40_000.0)),
+        commands=tuple(commands),
+    )
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_fuzzed_scenarios())
+def test_trace_invariants_hold_under_random_fleets_and_commands(scenario):
+    sim = Simulator(scenario)
+    records = sim.run()  # completes: no runtime abort on a valid scenario
+
+    last_ms = 0.0
+    requests = dict.fromkeys((n.node_id for n in scenario.nodes), 0)
+    closed = dict(requests)
+    origins = []
+    for r in records:
+        assert r.timestamp_ms >= last_ms, r
+        last_ms = r.timestamp_ms
+        if r.kind == "request-send":
+            requests[r.node_id] += 1
+        elif r.kind in RESPONSE_KINDS or r.kind == "request-timeout":
+            closed[r.node_id] += 1
+            assert closed[r.node_id] <= requests[r.node_id], r
+            if r.kind != "request-timeout":
+                origins.append(r.detail.split()[0].removeprefix("origin="))
+
+    # every offboard latency sample is filed under the tier that answered
+    assert [s.mode for s in extract_latency_series(records) if s.mode != "S"] == origins
+
+    total = 0.0  # the ledger's own order of additions
+    for entry in sim.ledger.entries:
+        total += entry.energy_mj
+    assert sim.ledger.total_mj == total
+
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "trace.csv"
+        write_trace_csv(records, path)
+        assert summarize(read_trace_csv(path), scenario) == summarize(records, scenario)

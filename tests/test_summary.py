@@ -192,6 +192,21 @@ def test_latency_sample_names_the_tier_that_answered():
         assert offboard == answered, f"seed {seed}"
 
 
+def test_timeout_does_not_retire_a_request_still_in_service():
+    # A 20 s gateway service keeps answers queued far longer than the 1 s
+    # timeout, so a timeout fires while older requests are still in service.
+    for seed in range(1, 21):
+        scenario = Scenario(duration_ms=3_600_000.0, seed=seed,
+                            nodes=(NodeConfig(initial_mode="G"),),
+                            gateway_service_ms=20_000.0, drop_probability=0.3,
+                            request_timeout_ms=1_000.0)
+        records, _ = run(scenario)
+        answered = [r.detail.split()[0].removeprefix("origin=")
+                    for r in records if r.kind in RESPONSE_KINDS]
+        offboard = [s.mode for s in extract_latency_series(records) if s.mode != "S"]
+        assert offboard == answered, f"seed {seed}"
+
+
 def test_latency_sample_is_an_immutable_row():
     sample = LatencySample(1_000.0, "n1", "G", 148.15)
     assert (sample.timestamp_ms, sample.node_id, sample.mode, sample.latency_ms) == \
