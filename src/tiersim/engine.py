@@ -40,6 +40,7 @@ from .node import (
     PropertyCommand,
     PropertyMethod,
     PROPERTY_TABLE,
+    PropertyResponse,
     SensorNode,
 )
 from .oracle import ClassifierOracle, GroundTruthProcess, derive_seed, draw_ground_truth
@@ -74,7 +75,7 @@ class LatencyModel:
     """Per-mode end-to-end response latency, optionally jittered.
 
     The constants are end-to-end (transport plus inference) under ideal
-    load; queueing delay at a busy tier adds on top. Jitter is zero-mean
+    load; queueing delay at a loaded tier adds on top. Jitter is zero-mean
     uniform with the configured half-width.
     """
 
@@ -131,7 +132,6 @@ class Tier:
     depth: int
     # each queued request is (node_id, sent_ms, battery_pct)
     queue: deque[tuple[str, float, float]] = field(default_factory=deque)
-    busy: bool = False
     trackers: dict[str, AnomalyTracker] = field(default_factory=dict)
 
     def reset(self, node_id: str) -> None:
@@ -147,24 +147,26 @@ class Gateway(Tier):
     gateway_id: str = "gateway-0"
     provisioned_nodes: list[str] = field(default_factory=list)
 
-    def apply_command(self, cmd: PropertyCommand) -> tuple[str, object | None]:
-        """Handle a gateway-targeted property command; returns (status, value)."""
+    def apply_command(self, cmd: PropertyCommand) -> PropertyResponse:
+        """Handle a gateway-targeted property command per the registry gating."""
         spec = PROPERTY_TABLE.get(cmd.name)
         if spec is None or spec.target != "gateway":
-            return "unknown-property", None
+            return PropertyResponse("unknown-property")
         if cmd.method not in spec.methods:
-            return "method-not-allowed", None
+            return PropertyResponse("method-not-allowed")
         if cmd.name == "gateway_id":
-            return "ok", self.gateway_id
-        if cmd.name == "provisioned_nodes":
-            if cmd.method is PropertyMethod.GET:
-                return "ok", list(self.provisioned_nodes)
-            if cmd.method is PropertyMethod.ADD:
-                self.provisioned_nodes.append(str(cmd.value))
-                return "ok", None
-            self.provisioned_nodes = [str(v) for v in (cmd.value or [])]
-            return "ok", None
-        return "unknown-property", None
+            return PropertyResponse("ok", self.gateway_id)
+        # provisioned_nodes: a SET takes a list of node ids, an ADD one id
+        if cmd.method is PropertyMethod.GET:
+            return PropertyResponse("ok", list(self.provisioned_nodes))
+        if cmd.method is PropertyMethod.ADD and isinstance(cmd.value, str):
+            self.provisioned_nodes.append(cmd.value)
+        elif cmd.method is PropertyMethod.SET and isinstance(cmd.value, list) and all(
+                isinstance(v, str) for v in cmd.value):
+            self.provisioned_nodes = list(cmd.value)
+        else:
+            return PropertyResponse("invalid-value")
+        return PropertyResponse("ok")
 
 
 class Simulator:
@@ -198,7 +200,7 @@ class Simulator:
         for cfg in scenario.nodes:
             self._add_node(cfg)
         for cmd in scenario.commands:
-            self.schedule(cmd.at_ms, "command-arrival", cmd.node_id, command=cmd.to_property_command())
+            self.schedule(cmd.at_ms, "command-arrival", cmd.node_id, command=cmd)
 
     def _add_node(self, cfg) -> None:
         node = SensorNode(
@@ -466,8 +468,7 @@ class Simulator:
     def _on_tier_arrival(self, node_id: str, data: dict) -> None:
         tier: Tier = data["tier"]
         tier.queue.append((node_id, self.now_ms, data["battery_pct"]))
-        if not tier.busy:
-            tier.busy = True
+        if len(tier.queue) == 1:  # the tier was idle: it serves while its queue is not empty
             self.schedule(self.now_ms + tier.service_ms, "tier-complete", node_id, tier=tier)
 
     def _on_tier_complete(self, node_id: str, data: dict) -> None:
@@ -476,8 +477,6 @@ class Simulator:
         if tier.queue:
             self.schedule(self.now_ms + tier.service_ms, "tier-complete",
                           tier.queue[0][0], tier=tier)
-        else:
-            tier.busy = False
 
     def _handle_prediction(self, tier: Tier, node_id: str, sent_ms: float,
                            battery_pct: float) -> None:
@@ -537,9 +536,9 @@ class Simulator:
         cmd: PropertyCommand = data["command"]
         spec = PROPERTY_TABLE.get(cmd.name)
         if spec is not None and spec.target == "gateway":
-            status, value = self.gateway.apply_command(cmd)
+            response = self.gateway.apply_command(cmd)
             self._record(None, "property-command", node_id=cmd.node_id,
-                         detail=_command_detail(cmd, status, value))
+                         detail=_command_detail(cmd, response))
             return
         node = self.nodes.get(cmd.node_id)
         if node is None:
@@ -557,7 +556,8 @@ class Simulator:
             cmd = pending.popleft()
             before = node.mode
             response = node.apply_command(cmd)
-            is_state_step = cmd.name == "state" and response.ok
+            is_state_step = (cmd.name == "state" and cmd.method is PropertyMethod.SET
+                             and response.ok)
             if is_state_step:
                 # the lifecycle row leads so state-machine triples read
                 # cleanly off consecutive trace rows
@@ -568,7 +568,7 @@ class Simulator:
                              detail=f"SET state {cmd.value} has no edge from "
                                     f"{node.state.value}")
             self._record(node, "property-command",
-                         detail=_command_detail(cmd, response.status, response.value))
+                         detail=_command_detail(cmd, response))
             if node.mode is not before:
                 # the SET already reset the node tracker; mirror it tier-side
                 self._reset_tiers(node)
@@ -599,8 +599,9 @@ class Simulator:
                           epoch=node.epoch)
 
 
-def _command_detail(cmd: PropertyCommand, status: str, value: object | None) -> str:
-    text = f"{cmd.method.value} {cmd.name} status={status}"
+def _command_detail(cmd: PropertyCommand, response: PropertyResponse) -> str:
+    text = f"{cmd.method.value} {cmd.name} status={response.status}"
+    value = response.value
     if value is not None:
         value = getattr(value, "value", value)  # enums print their wire value
         text += f" value={value}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .model import (
@@ -69,26 +70,20 @@ class PropertySpec:
     name: str
     methods: frozenset[PropertyMethod]
     target: str  # "sensor" or "gateway"
-    dtype: str
-
-
-def _spec(name: str, methods: str, target: str, dtype: str) -> PropertySpec:
-    parsed = frozenset(PropertyMethod(m) for m in methods.split("/"))
-    return PropertySpec(name, parsed, target, dtype)
 
 
 #: Device property registry: what can be read or written on which device.
 PROPERTY_TABLE: dict[str, PropertySpec] = {
-    s.name: s
-    for s in (
-        _spec("tf_model_bytes", "SET", "sensor", "uint8*"),
-        _spec("tf_model_size", "SET", "sensor", "uint32"),
-        _spec("provisioned_nodes", "SET/GET/ADD", "gateway", "char**"),
-        _spec("gateway_id", "GET", "gateway", "char*"),
-        _spec("sensor_id", "GET", "sensor", "char*"),
-        _spec("sleep_period", "SET/GET", "sensor", "uint32"),
-        _spec("state", "SET/GET", "sensor", "uint32"),
-        _spec("inference_mode", "SET/GET", "sensor", "uint8"),
+    name: PropertySpec(name, frozenset(PropertyMethod(m) for m in methods.split("/")), target)
+    for name, methods, target in (
+        ("tf_model_bytes", "SET", "sensor"),
+        ("tf_model_size", "SET", "sensor"),
+        ("provisioned_nodes", "SET/GET/ADD", "gateway"),
+        ("gateway_id", "GET", "gateway"),
+        ("sensor_id", "GET", "sensor"),
+        ("sleep_period", "SET/GET", "sensor"),
+        ("state", "SET/GET", "sensor"),
+        ("inference_mode", "SET/GET", "sensor"),
     )
 }
 
@@ -99,8 +94,13 @@ class PropertyCommand:
 
     node_id: str
     name: str
-    method: PropertyMethod
+    method: PropertyMethod = PropertyMethod.SET
     value: object | None = None
+    at_ms: float = 0.0  # when a scenario's command reaches the gateway
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.at_ms) or self.at_ms < 0:  # NaN would stall the event loop
+            raise ConfigurationError(f"at_ms must be finite and >= 0, got {self.at_ms}")
 
 
 @dataclass(frozen=True)
@@ -211,19 +211,15 @@ class SensorNode:
             return self.sleep_period_ms
         if name == "state":
             return self.state.value
-        if name == "inference_mode":
-            return self.mode.value
-        return self.properties.get(name)
+        return self.mode.value  # inference_mode, the last readable property
 
     def _set_property(self, name: str, value: object) -> PropertyResponse:
         if name == "sleep_period":
-            try:
-                period = float(value)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
+            # the loader's rule for a number: finite, and not a boolean
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 <= value <= sys.float_info.max):
                 return PropertyResponse("invalid-value")
-            if not math.isfinite(period) or period < 0:
-                return PropertyResponse("invalid-value")
-            self.sleep_period_ms = period  # takes effect from the next cycle
+            self.sleep_period_ms = float(value)  # takes effect from the next cycle
             return PropertyResponse("ok")
         if name == "inference_mode":
             try:
@@ -243,12 +239,10 @@ class SensorNode:
             self.step_state(event)
             # callers need the lifecycle event to continue orchestration
             return PropertyResponse("ok", event)
-        if name in ("tf_model_bytes", "tf_model_size"):
-            # Recorded as opaque payload; a model swap does not alter the
-            # prediction oracle mid-run.
-            self.properties[name] = value
-            return PropertyResponse("ok")
-        return PropertyResponse("unknown-property")
+        # tf_model_bytes or tf_model_size: recorded as opaque payload; a
+        # model swap does not alter the prediction oracle mid-run.
+        self.properties[name] = value
+        return PropertyResponse("ok")
 
     # -- duty cycle ------------------------------------------------------
 

@@ -57,27 +57,6 @@ class NodeConfig:
                             voltage_v=self.battery_voltage_v)
 
 
-@dataclass(frozen=True)
-class TimedCommand:
-    at_ms: float
-    node_id: str
-    name: str
-    method: str
-    value: object | None = None
-
-    def __post_init__(self) -> None:
-        if self.at_ms < 0:
-            raise ConfigurationError(f"at_ms must be >= 0, got {self.at_ms}")
-        self.to_property_command()  # rejects an unknown method
-
-    def to_property_command(self) -> PropertyCommand:
-        try:
-            method = PropertyMethod(self.method)
-        except ValueError:
-            raise ConfigurationError(f"unknown property method {self.method!r}") from None
-        return PropertyCommand(self.node_id, self.name, method, self.value)
-
-
 class _EntryError(ConfigurationError):
     """A check of a whole object that one entry of it fails; ``where`` names the entry."""
 
@@ -113,7 +92,7 @@ class Scenario:
     adaptive: bool = True
     drop_probability: float = 0.0
     request_timeout_ms: float = 10_000.0
-    commands: tuple[TimedCommand, ...] = ()
+    commands: tuple[PropertyCommand, ...] = ()
     out_dir: str | None = None  # default artifact directory; CLI --out wins
 
     def __post_init__(self) -> None:
@@ -134,8 +113,6 @@ class Scenario:
             raise ConfigurationError("poll_every_cycles must be >= 1")
         if not 0.0 <= self.empty_poll_fraction <= 1.0:
             raise ConfigurationError("empty_poll_fraction must be in [0, 1]")
-        if not 0.0 <= self.anomaly_probability <= 1.0:
-            raise ConfigurationError("anomaly_probability must be in [0, 1]")
         if self.gateway_service_ms < 0 or self.cloud_service_ms < 0:
             raise ConfigurationError("tier service times must be >= 0")
         if self.provisioning_stage_ms < 0:
@@ -144,6 +121,12 @@ class Scenario:
             raise ConfigurationError("drop_probability must be in [0, 1)")
         if self.request_timeout_ms <= 0:
             raise ConfigurationError("request_timeout_ms must be > 0")
+        try:  # the process's own checks, which the engine repeats per node
+            GroundTruthProcess(anomaly_probability=self.anomaly_probability,
+                               healthy_split=self.healthy_split,
+                               degraded_split=self.degraded_split)
+        except ConfigurationError as err:
+            raise _EntryError("ground_truth", str(err)) from None
 
     def anomaly_label_set(self) -> frozenset[ConditionLabel]:
         return frozenset(ConditionLabel(v) for v in self.anomaly_labels)
@@ -164,10 +147,7 @@ _SCENARIO_KEYS = {
 }
 
 #: Keys that a list entry takes, by its index, when it leaves them out.
-_ENTRY_DEFAULTS = {
-    NodeConfig: lambda i: {"node_id": f"node-{i}"},
-    TimedCommand: lambda i: {"at_ms": 0.0, "method": "SET"},
-}
+_ENTRY_DEFAULTS = {NodeConfig: lambda i: {"node_id": f"node-{i}"}}
 
 
 class _LocatedError(ConfigurationError):
@@ -202,9 +182,17 @@ def _exact(tp: type, expected: str):
     return coerce
 
 
+def _method(value, *_) -> PropertyMethod:
+    try:  # only a string can name a method
+        return PropertyMethod(value)
+    except ValueError:
+        raise ValueError(f"unknown property method {value!r}") from None
+
+
 #: Coercers of the scalar field types; each takes (value, source, path).
 _SCALARS = {float: _float, int: _int, bool: _exact(bool, "true or false"),
-            str: _exact(str, "a string"), object: lambda value, *_: value}
+            str: _exact(str, "a string"), object: lambda value, *_: value,
+            PropertyMethod: _method}
 
 
 def _coercer(tp, f):

@@ -16,6 +16,8 @@ from tiersim import (
     ConfigurationError,
     InferenceMode,
     NodeConfig,
+    PropertyCommand,
+    PropertyMethod,
     Scenario,
     Simulator,
     extract_latency_series,
@@ -25,7 +27,7 @@ from tiersim import (
 )
 from tiersim.cli import main, run_scenario
 from tiersim.engine import SINK_BATCH_RECORDS
-from tiersim.scenario import TimedCommand, load_preset, scenario_from_dict
+from tiersim.scenario import load_preset, scenario_from_dict
 from tiersim.summary import (
     write_energy_csv,
     write_latency_csv,
@@ -55,7 +57,8 @@ def test_readme_schema_documents_the_defaults():
     block = readme.split("## Scenario files", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
     scenario = scenario_from_dict(json.loads(re.sub(r"//.*", "", block)))
     # the documented command is an example; by default there are none
-    assert scenario.commands == (TimedCommand(60_000.0, "node-0", "sleep_period", "SET", 5000),)
+    assert scenario.commands == (
+        PropertyCommand("node-0", "sleep_period", value=5000, at_ms=60_000.0),)
     assert replace(scenario, commands=()) == scenario_from_dict({})
 
 
@@ -132,10 +135,26 @@ def test_invalid_values_rejected():
     ({"duration_ms": "60000"}, "duration_ms"),  # loaded as 60000.0
     ({"duration_ms": True}, "duration_ms"),  # loaded as 1.0
     ({"nodes": [{"sleep_period_ms": " 1e3 "}]}, "nodes[0].sleep_period_ms"),  # loaded as 1000.0
+    ({"ground_truth": {"healthy_split": 2.0}}, "ground_truth"),  # crashed the engine
+    ({"ground_truth": {"degraded_split": -0.5}, "nodes": []}, "ground_truth"),  # ran
+    ({"ground_truth": {"anomaly_probability": 1.5}}, "ground_truth"),
+    ({"commands": [{"node_id": "n", "name": "state", "method": "PUT"}]}, "commands[0].method"),
+    ({"commands": [{"node_id": "n", "name": "state", "method": 1}]}, "commands[0].method"),
 ])
 def test_bad_values_rejected_at_load_with_path(doc, path):
     with pytest.raises(ConfigurationError, match=rf"^<scenario>: {re.escape(path)}: "):
         scenario_from_dict(doc)
+
+
+def test_ground_truth_error_names_the_field_and_value():
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "<scenario>: ground_truth: healthy_split must be in [0, 1], got 2.0")):
+        scenario_from_dict({"ground_truth": {"healthy_split": 2.0}})
+
+
+def test_command_defaults_to_set_at_time_zero():
+    (cmd,) = scenario_from_dict({"commands": [{"node_id": "n", "name": "state"}]}).commands
+    assert cmd == PropertyCommand("n", "state", PropertyMethod.SET, None, 0.0)
 
 
 def test_presets_exist_and_validate():
@@ -272,6 +291,17 @@ def test_cli_runtime_abort_exits_3_without_artifacts(tmp_path, monkeypatch, caps
 
 
 # -- CLI ----------------------------------------------------------------------
+
+def test_cli_get_state_reports_the_lifecycle_state(tmp_path):
+    path = tmp_path / "get.json"
+    path.write_text(json.dumps({"duration_ms": 120_000.0, "commands": [
+        {"at_ms": at_ms, "node_id": "node-0", "name": "state", "method": "GET"}
+        for at_ms in (50, 60_000)]}))
+    assert main([str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    rows = map(json.loads, (tmp_path / "out" / "trace.jsonl").read_text().splitlines())
+    assert [r["detail"] for r in rows if r["event_kind"] == "property-command"] == [
+        "GET state status=ok value=INITIAL", "GET state status=ok value=WORKING"]
+
 
 def test_cli_runs_scenario_file(tmp_path, capsys):
     path = tmp_path / "s.json"

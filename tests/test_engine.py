@@ -14,9 +14,8 @@ from tiersim import (
     SimulationError,
     Simulator,
 )
-from tiersim.node import LifecycleEvent
+from tiersim.node import LifecycleEvent, PropertyCommand, PropertyMethod
 from tiersim.oracle import TierAccuracyProfile
-from tiersim.scenario import TimedCommand
 
 S, G, C = InferenceMode.SENSOR, InferenceMode.GATEWAY, InferenceMode.CLOUD
 
@@ -76,8 +75,8 @@ def test_unknown_event_kind_is_rejected_when_scheduled():
 
 def test_equal_timestamps_execute_in_insertion_order():
     cmds = (
-        TimedCommand(1_000.0, "node-0", "gateway_id", "GET"),
-        TimedCommand(1_000.0, "node-0", "provisioned_nodes", "GET"),
+        PropertyCommand("node-0", "gateway_id", PropertyMethod.GET, at_ms=1_000.0),
+        PropertyCommand("node-0", "provisioned_nodes", PropertyMethod.GET, at_ms=1_000.0),
     )
     records = Simulator(scenario(commands=cmds, duration_ms=2_000.0)).run()
     props = [r.detail for r in records if r.kind == "property-command"]
@@ -162,7 +161,7 @@ def test_gateway_mode_command_reaching_an_idle_node_is_applied():
     plan = Scenario(
         duration_ms=1_800_000.0, seed=3, nodes=(NodeConfig(initial_mode="G"),),
         gateway_service_ms=20_000.0,
-        commands=(TimedCommand(900_000.0, "node-0", "state", "SET", "IDLE"),),
+        commands=(PropertyCommand("node-0", "state", value="IDLE", at_ms=900_000.0),),
     )
     records = Simulator(plan).run()
     [i] = [i for i, r in enumerate(records) if r.kind == "mode-command" and r.state == "IDLE"]
@@ -288,7 +287,7 @@ def test_latency_includes_queue_wait_under_load():
 # -- command delivery and polling ---------------------------------------------
 
 def test_command_to_sensor_node_waits_for_poll():
-    cmds = (TimedCommand(5_000.0, "node-0", "sleep_period", "SET", 1_000),)
+    cmds = (PropertyCommand("node-0", "sleep_period", value=1_000, at_ms=5_000.0),)
     plan = scenario(
         duration_ms=120_000.0, adaptive=False, commands=cmds,
         poll_enabled=True, poll_every_cycles=2,
@@ -318,8 +317,8 @@ def test_empty_poll_charges_fraction_of_radio():
 
 def test_command_to_idle_node_is_delivered_immediately():
     cmds = (
-        TimedCommand(50_000.0, "node-0", "state", "SET", "IDLE"),
-        TimedCommand(80_000.0, "node-0", "state", "SET", "UNLOCKED"),  # reset
+        PropertyCommand("node-0", "state", value="IDLE", at_ms=50_000.0),
+        PropertyCommand("node-0", "state", value="UNLOCKED", at_ms=80_000.0),  # reset
     )
     plan = scenario(duration_ms=200_000.0, adaptive=False, commands=cmds,
                     poll_enabled=True, poll_every_cycles=1)
@@ -338,8 +337,8 @@ def test_reset_drops_the_cycle_start_left_from_before_idle():
     # IDLE lands at the 10.65 s radio window, whose cycle-start is still
     # pending when the reset brings the node back to WORKING
     cmds = (
-        TimedCommand(5_000.0, "node-0", "state", "SET", "IDLE"),
-        TimedCommand(12_000.0, "node-0", "state", "SET", "UNLOCKED"),
+        PropertyCommand("node-0", "state", value="IDLE", at_ms=5_000.0),
+        PropertyCommand("node-0", "state", value="UNLOCKED", at_ms=12_000.0),
     )
     plan = scenario(duration_ms=600_000.0, adaptive=False, commands=cmds,
                     nodes=(NodeConfig(initial_mode="G", sleep_period_ms=0.0),))
@@ -352,7 +351,7 @@ def test_reset_drops_the_cycle_start_left_from_before_idle():
 
 
 def test_command_to_transmitting_node_applies_at_radio_window():
-    cmds = (TimedCommand(5_000.0, "node-0", "sleep_period", "SET", 2_000),)
+    cmds = (PropertyCommand("node-0", "sleep_period", value=2_000, at_ms=5_000.0),)
     plan = scenario(
         duration_ms=60_000.0, adaptive=False, commands=cmds,
         nodes=(NodeConfig(initial_mode="G"),),
@@ -367,7 +366,7 @@ def test_command_to_transmitting_node_applies_at_radio_window():
 
 
 def test_mode_command_while_sensor_mode_arrives_at_next_poll():
-    cmds = (TimedCommand(1_000.0, "node-0", "inference_mode", "SET", "G"),)
+    cmds = (PropertyCommand("node-0", "inference_mode", value="G", at_ms=1_000.0),)
     plan = scenario(duration_ms=120_000.0, adaptive=False, commands=cmds,
                     poll_enabled=True, poll_every_cycles=1)
     sim = Simulator(plan)
@@ -377,6 +376,23 @@ def test_mode_command_while_sensor_mode_arrives_at_next_poll():
     first_poll = [r for r in records if r.kind == "poll"][0]
     assert change[0].timestamp_ms == first_poll.timestamp_ms
     assert sim.nodes["node-0"].mode is G
+
+
+def test_provisioned_nodes_takes_a_list_of_ids_or_one_id():
+    gateway = Simulator(scenario()).gateway
+
+    def status(method, value=None):
+        cmd = PropertyCommand("gateway", "provisioned_nodes", PropertyMethod(method), value)
+        return gateway.apply_command(cmd).status
+
+    assert status("SET", ["a", "b"]) == "ok"
+    assert status("ADD", "c") == "ok"
+    for method, bad in (("SET", 5), ("SET", "abc"), ("SET", {"a": 1}), ("SET", ["a", 1]),
+                        ("SET", None), ("ADD", None), ("ADD", 5), ("ADD", ["d"])):
+        assert status(method, bad) == "invalid-value", (method, bad)
+    assert gateway.provisioned_nodes == ["a", "b", "c"]
+    get = PropertyCommand("gateway", "provisioned_nodes", PropertyMethod.GET)
+    assert gateway.apply_command(get).value == ["a", "b", "c"]
 
 
 # -- battery exhaustion -------------------------------------------------------

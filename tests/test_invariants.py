@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from tiersim import (
@@ -24,9 +24,8 @@ from tiersim import (
     read_trace_csv,
     summarize,
 )
-from tiersim.node import LifecycleEvent, TRANSITIONS
+from tiersim.node import LifecycleEvent, PropertyCommand, PropertyMethod, TRANSITIONS
 from tiersim.oracle import TierAccuracyProfile
-from tiersim.scenario import TimedCommand
 from tiersim.summary import RESPONSE_KINDS, write_trace_csv
 
 S, G, C = InferenceMode.SENSOR, InferenceMode.GATEWAY, InferenceMode.CLOUD
@@ -38,8 +37,8 @@ LIFECYCLE_KINDS = {e.value: e for e in LifecycleEvent}
 
 def test_state_machine_safety_over_trace():
     commands = (
-        TimedCommand(100_000.0, "node-0", "state", "SET", "IDLE"),
-        TimedCommand(150_000.0, "node-0", "state", "SET", "UNLOCKED"),
+        PropertyCommand("node-0", "state", value="IDLE", at_ms=100_000.0),
+        PropertyCommand("node-0", "state", value="UNLOCKED", at_ms=150_000.0),
     )
     scenario = Scenario(duration_ms=400_000.0, adaptive=False, commands=commands)
     records = Simulator(scenario).run()
@@ -146,11 +145,21 @@ def test_battery_level_non_increasing_over_trace():
 
 # -- invariants under random fleets and operator scripts ----------------------
 
+# every property, valid and bad values, and a name no device knows
 _COMMAND_VALUES = {
     "state": st.sampled_from([s.value for s in NodeState]),
-    "inference_mode": st.sampled_from(["S", "G", "C"]),
-    "sleep_period": st.sampled_from([0, 1_000, 5_000, 30_000]),
+    "inference_mode": st.sampled_from(["S", "G", "C", "Z"]),
+    "sleep_period": st.sampled_from([0, 1_000, 5_000, 30_000, -1, True, "5000"]),
+    "provisioned_nodes": st.sampled_from([["n0", "n1"], [], "n9", 5, {"a": 1}, None]),
+    "gateway_id": st.none(),
+    "sensor_id": st.none(),
+    "tf_model_bytes": st.none(),
+    "tf_model_size": st.just(30_720),
+    "nonsense": st.none(),
 }
+
+_STATUSES = {"ok", "method-not-allowed", "unknown-property", "invalid-value",
+             "protocol-violation"}
 
 
 @st.composite
@@ -167,10 +176,11 @@ def _fuzzed_scenarios(draw):
     commands = []
     for _ in range(draw(st.integers(0, 6))):
         name = draw(st.sampled_from(sorted(_COMMAND_VALUES)))
-        commands.append(TimedCommand(
+        commands.append(PropertyCommand(
+            node_id=draw(st.sampled_from([n.node_id for n in nodes] + ["ghost"])),
+            name=name, method=draw(st.sampled_from(PropertyMethod)),
+            value=draw(_COMMAND_VALUES[name]),
             at_ms=float(draw(st.integers(0, 1_800_000))),
-            node_id=draw(st.sampled_from([n.node_id for n in nodes])),
-            name=name, method="SET", value=draw(_COMMAND_VALUES[name]),
         ))
     return Scenario(
         duration_ms=1_800_000.0,
@@ -187,7 +197,10 @@ def _fuzzed_scenarios(draw):
     )
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+# No shrink phase: each example is a 30-minute fleet run, so shrinking a
+# failure takes minutes; the falsifying scenario is printed unshrunk.
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(_fuzzed_scenarios())
 def test_trace_invariants_hold_under_random_fleets_and_commands(scenario):
     sim = Simulator(scenario)
@@ -207,6 +220,8 @@ def test_trace_invariants_hold_under_random_fleets_and_commands(scenario):
             assert closed[r.node_id] <= requests[r.node_id], r
             if r.kind != "request-timeout":
                 origins.append(r.detail.split()[0].removeprefix("origin="))
+        elif r.kind == "property-command":
+            assert r.detail.split()[2].removeprefix("status=") in _STATUSES, r
 
     # every offboard latency sample is filed under the tier that answered
     assert [s.mode for s in extract_latency_series(records) if s.mode != "S"] == origins

@@ -3,6 +3,7 @@
 import pytest
 
 from tiersim import (
+    ConfigurationError,
     EnergyTable,
     InferenceMode,
     LifecycleEvent,
@@ -73,6 +74,12 @@ def cmd(name, method, value=None):
     return PropertyCommand("n0", name, PropertyMethod(method), value)
 
 
+def test_command_time_must_be_finite_and_non_negative():
+    for at_ms in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="at_ms must be finite"):
+            PropertyCommand("n0", "state", at_ms=at_ms)
+
+
 def test_get_sleep_period_default():
     node = SensorNode(node_id="n0")
     response = node.apply_command(cmd("sleep_period", "GET"))
@@ -83,7 +90,7 @@ def test_set_sleep_period():
     node = SensorNode(node_id="n0")
     assert node.apply_command(cmd("sleep_period", "SET", 5_000)).ok
     assert node.sleep_period_ms == 5_000.0
-    for bad in (-1, "nan", "inf", float("nan")):
+    for bad in (-1, "nan", "inf", float("nan"), float("inf"), 10**400, True, "5000", None, [1]):
         assert node.apply_command(cmd("sleep_period", "SET", bad)).status == "invalid-value"
     assert node.sleep_period_ms == 5_000.0
 
