@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from .model import AnomalyTracker, HeuristicParams, InferenceMode
 
+_new, _set = object.__new__, object.__setattr__  # how a frozen dataclass sets fields
+
 
 def update_history(tracker: AnomalyTracker, anomaly_bit: int, mode_unchanged: bool) -> AnomalyTracker:
     """Shift the newest anomaly bit into the history window.
@@ -21,14 +23,16 @@ def update_history(tracker: AnomalyTracker, anomaly_bit: int, mode_unchanged: bo
     """
     if anomaly_bit not in (0, 1):
         raise ValueError(f"anomaly bit must be 0 or 1, got {anomaly_bit}")
+    depth = tracker.depth
     if not mode_unchanged:
-        return AnomalyTracker(bits=0, length=0, depth=tracker.depth)
-    mask = (1 << tracker.depth) - 1
-    return AnomalyTracker(
-        bits=((tracker.bits << 1) | anomaly_bit) & mask,
-        length=min(tracker.depth, tracker.length + 1),
-        depth=tracker.depth,
-    )
+        return AnomalyTracker(bits=0, length=0, depth=depth)
+    # A shift keeps the invariants (bits within length within depth), so the
+    # tracker of every prediction is built without rerunning its checks.
+    shifted = _new(AnomalyTracker)
+    _set(shifted, "bits", ((tracker.bits << 1) | anomaly_bit) & ((1 << depth) - 1))
+    _set(shifted, "length", min(depth, tracker.length + 1))
+    _set(shifted, "depth", depth)
+    return shifted
 
 
 def anomaly_count(tracker: AnomalyTracker) -> int:

@@ -9,7 +9,7 @@ plus validation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 MAX_HISTORY_DEPTH = 64  # history must fit one machine word
 
@@ -65,6 +65,18 @@ class ConditionLabel(enum.IntEnum):
     ACCEPTABLE = 1
     UNSATISFACTORY = 2
     UNACCEPTABLE = 3
+
+
+def check_node_id(node_id: str) -> None:
+    """The rule for every node id, a node's or a command's: it names CSV rows.
+
+    A surrogate cannot be encoded as UTF-8, although JSON can spell a lone one.
+    """
+    if not node_id or any(c in ",\r\n" or "\ud800" <= c <= "\udfff" for c in node_id):
+        raise ConfigurationError(
+            f"node id {node_id!r} must be non-empty, free of commas/newlines and "
+            "encodable as UTF-8 (it names CSV rows)"
+        )
 
 
 @dataclass(frozen=True)
@@ -169,15 +181,18 @@ class HeuristicParams:
 
 @dataclass
 class BatteryState:
-    """Battery bookkeeping in joules; percent level is derived on demand.
+    """Battery bookkeeping in joules; ``drain`` keeps the percent level current.
 
     Storing consumed joules rather than a percent avoids cumulative
-    rounding across many small debits.
+    rounding across many small debits. ``drain`` is the only way charge is
+    consumed, so the level and deadness it derives are read for free.
     """
 
     capacity_j: float = 18648.0  # 1,400 mAh x 3.7 V
     consumed_j: float = 0.0
     voltage_v: float = 3.7
+    level_pct: float = field(init=False)  # remaining charge in [0, 100]
+    dead: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if self.capacity_j < 0:
@@ -188,17 +203,12 @@ class BatteryState:
             )
         if self.voltage_v <= 0:
             raise ConfigurationError(f"battery voltage must be > 0 V, got {self.voltage_v}")
+        self._derive()
 
-    @property
-    def level_pct(self) -> float:
-        """Remaining charge as a percentage in [0, 100]."""
-        if self.capacity_j <= 0:
-            return 0.0
-        return 100.0 * (self.capacity_j - self.consumed_j) / self.capacity_j
-
-    @property
-    def dead(self) -> bool:
-        return self.consumed_j >= self.capacity_j
+    def _derive(self) -> None:
+        capacity_j, consumed_j = self.capacity_j, self.consumed_j
+        self.level_pct = 100.0 * (capacity_j - consumed_j) / capacity_j if capacity_j > 0 else 0.0
+        self.dead = consumed_j >= capacity_j
 
     def drain(self, energy_mj: float) -> float:
         """Consume energy (millijoules); returns the mJ drawn.
@@ -208,6 +218,7 @@ class BatteryState:
         """
         before_j = self.consumed_j
         self.consumed_j = min(self.capacity_j, before_j + energy_mj / 1000.0)
+        self._derive()
         return (self.capacity_j - before_j) * 1000.0 if self.dead else energy_mj
 
 

@@ -21,6 +21,7 @@ from .model import (
     InferenceMode,
     NodeState,
     SimulationError,
+    check_node_id,
     new_tracker,
 )
 from .energy import EnergyTable
@@ -99,6 +100,7 @@ class PropertyCommand:
     at_ms: float = 0.0  # when a scenario's command reaches the gateway
 
     def __post_init__(self) -> None:
+        check_node_id(self.node_id)  # an unknown node's id is written to the trace
         if not math.isfinite(self.at_ms) or self.at_ms < 0:  # NaN would stall the event loop
             raise ConfigurationError(f"at_ms must be finite and >= 0, got {self.at_ms}")
 
@@ -155,7 +157,7 @@ class SensorNode:
     mode: InferenceMode = InferenceMode.SENSOR
     tracker: AnomalyTracker = field(default_factory=lambda: new_tracker(32))
     battery: BatteryState = field(default_factory=BatteryState)
-    sleep_period_ms: float = 30_000.0
+    sleep_period_ms: float = 0.0  # back-to-back windows; battery studies use 30 s
     properties: dict[str, object] = field(default_factory=dict)
     cycle_index: int = 0
     epoch: int = 0  # WORKING spells entered; a duty cycle belongs to one

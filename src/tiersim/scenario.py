@@ -24,8 +24,9 @@ from .model import (
     ConfigurationError,
     HeuristicParams,
     InferenceMode,
+    check_node_id,
 )
-from .node import PropertyCommand, PropertyMethod
+from .node import PropertyCommand, PropertyMethod, SensorNode
 from .oracle import DEFAULT_PROFILES, GroundTruthProcess, TierAccuracyProfile
 
 
@@ -35,14 +36,10 @@ class NodeConfig:
     initial_mode: str = "S"
     battery_capacity_j: float = BatteryState.capacity_j
     battery_voltage_v: float = BatteryState.voltage_v
-    sleep_period_ms: float = 0.0  # back-to-back windows; battery studies use 30 s
+    sleep_period_ms: float = SensorNode.sleep_period_ms
 
     def __post_init__(self) -> None:
-        if not self.node_id or any(c in self.node_id for c in ",\n\r"):
-            raise ConfigurationError(
-                f"node id {self.node_id!r} must be non-empty and free of "
-                "commas/newlines (it names CSV rows)"
-            )
+        check_node_id(self.node_id)
         InferenceMode.parse(self.initial_mode)
         if self.battery_capacity_j < 0:
             raise ConfigurationError(

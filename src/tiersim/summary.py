@@ -8,14 +8,15 @@ shortest round-trip form, which keeps re-read traces bit-identical.
 
 from __future__ import annotations
 
-import json
 import operator
 import os
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _escape  # the C escaper of json.dumps
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import NamedTuple, TextIO, get_args, get_type_hints
 
 from .energy import (
     LedgerEntry,
@@ -42,12 +43,6 @@ _TRACE_FORMAT = (
     ("battery_pct", "battery_pct"),
 )
 TRACE_COLUMNS = tuple(column for column, _ in _TRACE_FORMAT)
-_trace_row = operator.attrgetter(*(attr for _, attr in _TRACE_FORMAT))
-
-#: The JSONL object adds ``detail``. Its keys are pre-sorted, so each
-#: record dumps in sorted-key order without being sorted again.
-_JSONL_KEYS, _JSONL_ATTRS = zip(*sorted((*_TRACE_FORMAT, ("detail", "detail"))))
-_jsonl_row = operator.attrgetter(*_JSONL_ATTRS)
 
 _kind = operator.attrgetter("kind")
 _MODES = tuple(m.value for m in InferenceMode)
@@ -56,43 +51,103 @@ _SENSOR = InferenceMode.SENSOR.value
 #: Response kinds that complete a round-trip latency measurement.
 RESPONSE_KINDS = frozenset({"response-blank", "mode-command"})
 
-_ENERGY_COLUMNS = ("timestamp_ms", "node_id", "operation", "energy_mJ", "battery_pct")
-_energy_row = operator.attrgetter("timestamp_ms", "node_id", "operation", "energy_mj",
-                                  "battery_pct")
+_ENERGY_FORMAT = (("timestamp_ms", "timestamp_ms"), ("node_id", "node_id"),
+                  ("operation", "operation"), ("energy_mJ", "energy_mj"),
+                  ("battery_pct", "battery_pct"))
 
 
-def _write(dest: str | os.PathLike | TextIO, header: str, text: str) -> None:
-    """Append ``text`` to an open file, or write ``header`` and ``text`` to a new file.
+class _Cells(dict):
+    """The cell of each distinct value met, ``template % convert(value)``, made once."""
 
-    Every writer takes either destination: a path gets the whole artifact,
-    header first, and an open file gets only the rows, so that a caller can
-    stream one artifact in batches.
+    def __init__(self, template: str, convert: Callable[[object], str]) -> None:
+        super().__init__()
+        self._template, self._convert = template, convert
+
+    def __missing__(self, value) -> str:
+        cell = self[value] = self._template % self._convert(value)
+        return cell
+
+
+def _csv_cell(value) -> str:
+    return "" if value is None else str(value)
+
+
+def _json_cell(value) -> str:
+    return "null" if value is None else _escape(value) if isinstance(value, str) else repr(value)
+
+
+class _LineFormat:
+    """One artifact's line template, split by column, and each column's conversion.
+
+    ``columns`` pairs each key with the record attribute it shows. A CSV
+    line joins each value's ``str`` with commas, None as an empty cell. A
+    JSON line is what ``json.dumps(..., sort_keys=True)`` writes for the
+    record as an object of these keys: text escaped as ``json.dumps``
+    escapes it, numbers in ``repr``, None as ``null``. Each column's
+    template holds its key, and the first and last hold the braces.
+
+    An attribute's annotation gives its column's type. Text and counts
+    repeat, so each distinct value is converted once per call; a float is
+    converted every time, as -0.0 and 0.0 are equal keys with different text.
     """
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(header)
-            fh.write(text)
-    else:
-        dest.write(text)
+
+    def __init__(self, record_type: type, columns, jsonl: bool = False) -> None:
+        if jsonl:
+            columns = sorted(columns)
+            self.header, self._sep, self._cell, null = "", ", ", _json_cell, "null"
+            templates = [f"{_escape(key)}: %s" for key, _ in columns]
+            templates[0], templates[-1] = "{" + templates[0], templates[-1] + "}"
+        else:
+            self.header = ",".join(key for key, _ in columns) + "\n"
+            self._sep, self._cell, null = ",", _csv_cell, ""
+            templates = ["%s"] * len(columns)
+        self._null = {None: null}.get  # _null(value, cell): None's cell, else ``cell``
+        hints = get_type_hints(record_type)
+        self._columns = [
+            (template, operator.attrgetter(attr), float in (get_args(hints[attr]) or (hints[attr],)))
+            for template, (_, attr) in zip(templates, columns)
+        ]
+
+    def lines(self, records: Iterable) -> str:
+        records = records if isinstance(records, list) else list(records)  # read once per column
+        cells = []
+        for template, get, is_float in self._columns:
+            if is_float:
+                column = map(self._null, map(get, records), map(repr, map(get, records)))
+                cells.append(column if template == "%s" else map(template.__mod__, column))
+            else:
+                cells.append(map(_Cells(template, self._cell).__getitem__, map(get, records)))
+        # the empty last line ends the text with a newline
+        return "\n".join(chain(map(self._sep.join, zip(*cells)), ("",)))
+
+    def write(self, records: Iterable, dest: str | os.PathLike | TextIO) -> None:
+        """Append the lines to an open file, or write the header and lines to a new file.
+
+        Every writer takes either destination: a path gets the whole
+        artifact, and an open file gets only the rows, so that a caller can
+        stream one artifact in batches.
+        """
+        text = self.lines(records)
+        if isinstance(dest, (str, os.PathLike)):
+            with open(dest, "w", encoding="utf-8") as fh:
+                fh.write(self.header)
+                fh.write(text)
+        else:
+            dest.write(text)
 
 
-def _csv_header(columns) -> str:
-    return ",".join(columns) + "\n"
-
-
-def _csv_lines(rows) -> str:
-    """One line per row tuple; None is an empty cell, floats round-trip."""
-    return "".join([",".join(["" if v is None else str(v) for v in row]) + "\n"
-                    for row in rows])
+_TRACE_CSV = _LineFormat(SimEvent, _TRACE_FORMAT)
+#: The JSONL object adds ``detail`` to the trace columns.
+_TRACE_JSONL = _LineFormat(SimEvent, (*_TRACE_FORMAT, ("detail", "detail")), jsonl=True)
+_ENERGY_CSV = _LineFormat(LedgerEntry, _ENERGY_FORMAT)
 
 
 def write_trace_csv(records: Iterable[SimEvent], dest: str | os.PathLike | TextIO) -> None:
-    _write(dest, _csv_header(TRACE_COLUMNS), _csv_lines(map(_trace_row, records)))
+    _TRACE_CSV.write(records, dest)
 
 
 def write_trace_jsonl(records: Iterable[SimEvent], dest: str | os.PathLike | TextIO) -> None:
-    _write(dest, "", "".join([json.dumps(dict(zip(_JSONL_KEYS, _jsonl_row(r)))) + "\n"
-                              for r in records]))
+    _TRACE_JSONL.write(records, dest)
 
 
 def read_trace_csv(path: str | Path) -> list[SimEvent]:
@@ -130,7 +185,7 @@ def read_trace_csv(path: str | Path) -> list[SimEvent]:
 
 
 def write_energy_csv(entries: Iterable[LedgerEntry], dest: str | os.PathLike | TextIO) -> None:
-    _write(dest, _csv_header(_ENERGY_COLUMNS), _csv_lines(map(_energy_row, entries)))
+    _ENERGY_CSV.write(entries, dest)
 
 
 class LatencySample(NamedTuple):
@@ -190,9 +245,12 @@ def extract_latency_series(records: Iterable[SimEvent]) -> list[LatencySample]:
     return _LatencyMatcher().match(records)
 
 
+_LATENCY_CSV = _LineFormat(LatencySample, [(name, name) for name in LatencySample._fields])
+
+
 def write_latency_csv(series: Iterable[LatencySample],
                       dest: str | os.PathLike | TextIO) -> None:
-    _write(dest, _csv_header(LatencySample._fields), _csv_lines(series))
+    _LATENCY_CSV.write(series, dest)
 
 
 @dataclass

@@ -140,6 +140,15 @@ def test_invalid_values_rejected():
     ({"ground_truth": {"anomaly_probability": 1.5}}, "ground_truth"),
     ({"commands": [{"node_id": "n", "name": "state", "method": "PUT"}]}, "commands[0].method"),
     ({"commands": [{"node_id": "n", "name": "state", "method": 1}]}, "commands[0].method"),
+    # one node-id rule for nodes and commands
+    ({"duration_ms": 60000, "nodes": [{"node_id": "a"}], "commands": [
+        {"at_ms": 10, "node_id": "gh,o\"st\n", "name": "sleep_period", "value": 5}]},
+     "commands[0]"),  # wrote a trace.csv row read_trace_csv rejects
+    ({"nodes": [{"node_id": "a\ud800"}]}, "nodes[0]"),  # crashed deriving the node's seeds
+    ({"commands": [{"node_id": "a\ud800", "name": "state"}]}, "commands[0]"),
+    ({"commands": [{"node_id": "", "name": "state"}]}, "commands[0]"),
+    ({"commands": [{"node_id": "a\rb", "name": "state"}]}, "commands[0]"),
+    ({"nodes": [{"node_id": "a\rb"}]}, "nodes[0]"),
 ])
 def test_bad_values_rejected_at_load_with_path(doc, path):
     with pytest.raises(ConfigurationError, match=rf"^<scenario>: {re.escape(path)}: "):
@@ -349,6 +358,20 @@ def test_cli_nan_duration_exits_2_without_artifacts(tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2, argv
         assert not (tmp_path / "out").exists()
         assert "duration_ms: must be a finite number" in capsys.readouterr().err
+
+
+def test_cli_bad_node_ids_exit_2_with_the_path(tmp_path, capsys):
+    for doc, where in (
+        ({"nodes": [{"node_id": "a\ud800"}]}, "nodes[0]"),
+        ({"nodes": [{"node_id": "a"}], "commands": [
+            {"at_ms": 10, "node_id": "gh,o\"st\n", "name": "sleep_period", "value": 5}]},
+         "commands[0]"),
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # the surrogate travels as a \ud800 escape
+        assert main([str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        assert f"bad.json: {where}: node id " in capsys.readouterr().err
 
 
 def test_cli_missing_file_exits_2(tmp_path, capsys):

@@ -7,6 +7,7 @@ from tiersim import (
     EnergyTable,
     InferenceMode,
     LifecycleEvent,
+    NodeConfig,
     NodeState,
     PropertyCommand,
     PropertyMethod,
@@ -81,9 +82,10 @@ def test_command_time_must_be_finite_and_non_negative():
 
 
 def test_get_sleep_period_default():
+    # one default, declared on the node and read by the scenario's node config
     node = SensorNode(node_id="n0")
     response = node.apply_command(cmd("sleep_period", "GET"))
-    assert response.ok and response.value == 30_000.0
+    assert response.ok and response.value == NodeConfig().sleep_period_ms == 0.0
 
 
 def test_set_sleep_period():

@@ -1,0 +1,167 @@
+"""The artifact writers against the formatting they replace, and the values they may meet.
+
+Each writer formats a line from a per-column template. These tests hold
+every line to the generic formatting: ``json.dumps`` of the record as a
+sorted-key object for ``trace.jsonl``, and a comma join of each value's
+``str`` (None an empty cell) for the CSV files. They also pin that no
+non-finite float reaches an artifact, where ``repr`` would write ``nan``
+and ``json.dumps`` would write ``NaN``.
+"""
+
+import csv
+import io
+import json
+import math
+import struct
+import sys
+from dataclasses import astuple
+
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from tiersim import BatteryState, run_scenario, scenario_from_dict
+from tiersim.energy import LedgerEntry
+from tiersim.heuristics import update_history
+from tiersim.model import AnomalyTracker, SimEvent, new_tracker
+from tiersim.summary import (
+    TRACE_COLUMNS,
+    LatencySample,
+    write_energy_csv,
+    write_latency_csv,
+    write_trace_csv,
+    write_trace_jsonl,
+)
+
+JSONL_KEYS = (*TRACE_COLUMNS, "detail")  # SimEvent's fields, in order
+
+#: Text that needs escaping or leaves ASCII: a quote, a backslash, control
+#: characters, non-ASCII text, U+2028 and a lone surrogate.
+TRICKY_TEXT = ['"', "\\", "\x00\x1f\t\n\r", "é ü 温度 🚜", "\u2028\u2029", "\ud800", "a,b", ""]
+#: Floats whose text is easy to get wrong: signed zero, small and large
+#: exponents, subnormals and the extremes of the finite range.
+TRICKY_FLOATS = [0.0, -0.0, 1e-7, 1e22, 1e16, 5e-324, 2.225073858507201e-308,
+                 sys.float_info.max, -sys.float_info.max, 0.1, 100.0, 1.0]
+
+#: Fixed examples, and no explain phase: it takes minutes to report a failure here.
+EXAMPLES = settings(max_examples=100, derandomize=True, database=None, deadline=None,
+                    phases=[Phase.explicit, Phase.generate, Phase.shrink])
+
+texts = st.one_of(st.sampled_from(TRICKY_TEXT), st.text(max_size=12))
+floats = st.one_of(st.sampled_from(TRICKY_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+counts = st.one_of(st.integers(0, 64), st.integers(-2**63, 2**63))
+
+events = st.builds(
+    SimEvent, floats, texts, texts, st.none() | texts, st.none() | texts,
+    st.none() | texts, st.none() | counts, st.none() | counts, st.none() | counts,
+    st.none() | floats, st.none() | floats, st.none() | texts,
+)
+entries = st.builds(LedgerEntry, floats, texts, texts, floats, floats)
+samples = st.builds(LatencySample, floats, texts, texts, floats)
+
+
+def _written(write, rows) -> str:
+    out = io.StringIO()  # an open file takes the rows alone, without the header
+    write(rows, out)
+    return out.getvalue()
+
+
+def _csv_line(values) -> str:
+    return ",".join("" if v is None else str(v) for v in values) + "\n"
+
+
+@EXAMPLES
+@given(st.lists(events, max_size=12))
+def test_jsonl_line_is_json_dumps_of_the_sorted_record(records):
+    expected = "".join(json.dumps(dict(zip(JSONL_KEYS, astuple(r))), sort_keys=True) + "\n"
+                       for r in records)
+    assert _written(write_trace_jsonl, records) == expected
+
+
+@EXAMPLES
+@given(st.lists(events, max_size=12))
+def test_trace_csv_line_is_the_str_join_of_its_cells(records):
+    expected = "".join(_csv_line(astuple(r)[:len(TRACE_COLUMNS)]) for r in records)
+    assert _written(write_trace_csv, records) == expected
+
+
+@EXAMPLES
+@given(st.lists(entries, max_size=12), st.lists(samples, max_size=12))
+def test_energy_and_latency_csv_lines_are_the_str_join_of_their_cells(ledger, series):
+    assert _written(write_energy_csv, ledger) == "".join(_csv_line(astuple(e)) for e in ledger)
+    assert _written(write_latency_csv, series) == "".join(_csv_line(s) for s in series)
+
+
+def test_equal_values_with_different_text_keep_their_own_cells():
+    # 0.0 and -0.0 are equal dict keys, so a float column must not share cells
+    records = [SimEvent(t, "n", "k", latency_ms=t, battery_pct=-t) for t in (0.0, -0.0, 0.0)]
+    assert _written(write_trace_csv, records) == "".join(
+        _csv_line(astuple(r)[:len(TRACE_COLUMNS)]) for r in records)
+    assert [json.loads(line)["latency_ms"] for line in
+            _written(write_trace_jsonl, records).splitlines()] == [0.0, -0.0, 0.0]
+    assert "-0.0" in _written(write_trace_jsonl, records)
+
+
+def test_a_path_gets_the_header_and_an_empty_batch_no_rows(tmp_path):
+    write_trace_csv([], tmp_path / "trace.csv")
+    write_trace_jsonl([], tmp_path / "trace.jsonl")
+    write_energy_csv([], tmp_path / "energy.csv")
+    assert (tmp_path / "trace.csv").read_text() == ",".join(TRACE_COLUMNS) + "\n"
+    assert (tmp_path / "trace.jsonl").read_text() == ""
+    assert (tmp_path / "energy.csv").read_text() == \
+        "timestamp_ms,node_id,operation,energy_mJ,battery_pct\n"
+
+
+def _finite_number(value) -> bool:
+    return isinstance(value, str) or value is None or math.isfinite(value)
+
+
+def test_largest_sleep_period_puts_no_non_finite_float_in_any_artifact(tmp_path):
+    # The largest value the command path accepts makes a sleep energy of
+    # inf mJ; the drain clamps it, and the next cycle lands past the end.
+    nodes = [{"node_id": mode.lower(), "initial_mode": mode} for mode in "SGC"]
+    doc = {"duration_ms": 600_000.0, "seed": 3, "nodes": nodes, "commands": [
+        {"at_ms": 1_000.0, "node_id": n["node_id"], "name": "sleep_period",
+         "value": sys.float_info.max} for n in nodes]}
+    run_scenario(scenario_from_dict(doc), tmp_path)
+    rows = [json.loads(line, parse_constant=lambda c: math.nan)
+            for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+    applied = [r["node_id"] for r in rows if r["event_kind"] == "property-command"
+               and r["detail"].startswith("SET sleep_period status=ok")]
+    assert sorted(applied) == ["c", "g", "s"]
+    assert all(_finite_number(v) for r in rows for v in r.values())
+    assert max(r["timestamp_ms"] for r in rows) <= 600_000.0
+    for name in ("trace.csv", "energy.csv", "latency.csv"):
+        with open(tmp_path / name, newline="") as fh:
+            for row in csv.DictReader(fh):
+                for key in ("timestamp_ms", "latency_ms", "battery_pct", "energy_mJ"):
+                    if row.get(key):
+                        assert math.isfinite(float(row[key])), (name, row)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@EXAMPLES
+@given(st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+       st.lists(st.one_of(st.floats(0.0, 1e9), st.sampled_from([0.0, 5e-324, 1e-7])),
+                max_size=200))
+def test_battery_level_and_deadness_follow_every_drain_bit_for_bit(capacity_j, drains_mj):
+    battery = BatteryState(capacity_j=capacity_j)
+    for energy_mj in [None, *drains_mj]:
+        if energy_mj is not None:
+            battery.drain(energy_mj)
+        capacity, consumed = battery.capacity_j, battery.consumed_j
+        expected = 100.0 * (capacity - consumed) / capacity if capacity > 0 else 0.0
+        assert _bits(battery.level_pct) == _bits(expected)
+        assert battery.dead is (consumed >= capacity)
+
+
+@EXAMPLES
+@given(st.integers(1, 64), st.lists(st.integers(0, 1), max_size=100))
+def test_a_shifted_tracker_meets_the_checks_it_skips(depth, bits):
+    tracker = new_tracker(depth)
+    for bit in bits:
+        tracker = update_history(tracker, bit, True)
+        assert tracker == AnomalyTracker(tracker.bits, tracker.length, tracker.depth)
