@@ -45,10 +45,16 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> RunSummary:
 
     Artifacts: trace.csv, trace.jsonl, energy.csv, latency.csv,
     summary.json. They appear in ``out_dir`` only if the run completes.
+    An ``out_dir`` that is a file, or lies below one, raises
+    ConfigurationError before anything runs.
     """
     out = Path(out_dir)
-    anchor = out.absolute().parent
-    while not anchor.is_dir():  # the nearest existing ancestor; out's parents may not exist yet
+    anchor = out.absolute()
+    while not anchor.is_dir():  # the nearest existing ancestor; out and its parents may not exist yet
+        if anchor.exists():  # checked before the run, which could only fail at its end
+            raise ConfigurationError(f"{out}: {anchor} is not a directory")
+        anchor = anchor.parent
+    if anchor == out.absolute():  # the staging directory goes beside out, not inside it
         anchor = anchor.parent
     staging = Path(tempfile.mkdtemp(prefix=f".{out.name}-", dir=anchor))
     try:
@@ -146,6 +152,9 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = args.out or scenario.out_dir or "out"
     try:
         summary = run_scenario(scenario, out_dir)
+    except ConfigurationError as err:
+        print(f"tiersim: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except SimulationError as err:
         print(f"tiersim: runtime abort: {err}", file=sys.stderr)
         return EXIT_RUNTIME

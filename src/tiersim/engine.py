@@ -179,7 +179,7 @@ class Simulator:
         self.latency_model = scenario.latency
         self.anomaly_labels = scenario.anomaly_label_set()
         self.now_ms = 0.0  # the timestamp of the event being handled
-        self._heap: list[tuple[float, int, str, str, dict]] = []
+        self._heap: list[tuple[float, int, str, str, object]] = []
         self._seq = 0
         self.records: list[SimEvent] = []
         self.ledger = EnergyLedger()
@@ -200,7 +200,7 @@ class Simulator:
         for cfg in scenario.nodes:
             self._add_node(cfg)
         for cmd in scenario.commands:
-            self.schedule(cmd.at_ms, "command-arrival", cmd.node_id, command=cmd)
+            self.schedule(cmd.at_ms, "command-arrival", cmd.node_id, cmd)
 
     def _add_node(self, cfg) -> None:
         node = SensorNode(
@@ -222,12 +222,20 @@ class Simulator:
         self._pred_step[cfg.node_id] = 0
         stage_ms = self.scenario.provisioning_stage_ms
         for i in range(len(PROVISIONING_STAGES)):
-            self.schedule(stage_ms * (i + 1), "provision-stage", cfg.node_id, stage=i)
+            self.schedule(stage_ms * (i + 1), "provision-stage", cfg.node_id, i)
 
     # -- scheduling -----------------------------------------------------
 
-    def schedule(self, time_ms: float, kind: str, node_id: str, **data) -> None:
-        """Queue an event; ties at equal timestamps keep insertion order."""
+    def schedule(self, time_ms: float, kind: str, node_id: str, data: object = None) -> None:
+        """Queue an event; ties at equal timestamps keep insertion order.
+
+        ``data`` is the one payload its handler takes: the step of an
+        ``op``, the epoch of a ``cycle-start``, the stage index, lifecycle
+        event, command or tier, ``(tier, battery_pct)`` for a
+        ``tier-arrival``, ``(sent_ms, origin, verdict)`` for a
+        ``response-arrival``, and None for the rest. A time before the
+        current one, or a kind with no handler, raises SimulationError.
+        """
         if time_ms < self.now_ms:
             raise SimulationError(
                 f"event {kind} scheduled at {time_ms} ms, before current time "
@@ -324,17 +332,15 @@ class Simulator:
 
     # -- provisioning and lifecycle ------------------------------------
 
-    def _on_provision_stage(self, node_id: str, data: dict) -> None:
+    def _on_provision_stage(self, node_id: str, stage: int) -> None:
         node = self.nodes[node_id]
-        stage = data["stage"]
         self._record(node, "provision-stage", detail=PROVISIONING_STAGES[stage])
         if stage == len(PROVISIONING_STAGES) - 1:
             self.schedule(self.now_ms, "lifecycle", node.node_id,
-                          event=LifecycleEvent.PROVISIONING_COMPLETE)
+                          LifecycleEvent.PROVISIONING_COMPLETE)
 
-    def _on_lifecycle(self, node_id: str, data: dict) -> None:
+    def _on_lifecycle(self, node_id: str, event: LifecycleEvent) -> None:
         node = self.nodes[node_id]
-        event: LifecycleEvent = data["event"]
         try:
             node.step_state(event)
         except InvalidTransitionError as err:
@@ -350,26 +356,26 @@ class Simulator:
         if event is LifecycleEvent.PROVISIONING_COMPLETE:
             self.gateway.provisioned_nodes.append(node.node_id)
             self.schedule(self.now_ms + stage_ms, "lifecycle", node.node_id,
-                          event=LifecycleEvent.PROPERTIES_UPDATED)
+                          LifecycleEvent.PROPERTIES_UPDATED)
         elif event is LifecycleEvent.RESET_COMMAND:
             self.schedule(self.now_ms + stage_ms, "lifecycle", node.node_id,
-                          event=LifecycleEvent.PROPERTIES_UPDATED)
+                          LifecycleEvent.PROPERTIES_UPDATED)
         elif event is LifecycleEvent.PROPERTIES_UPDATED:
             self.schedule(self.now_ms + stage_ms, "lifecycle", node.node_id,
-                          event=LifecycleEvent.CONFIG_CONFIRM)
+                          LifecycleEvent.CONFIG_CONFIRM)
         elif event is LifecycleEvent.CONFIG_CONFIRM:
             node.epoch += 1  # cycle-starts left from an earlier WORKING spell go stale
-            self.schedule(self.now_ms, "cycle-start", node.node_id, epoch=node.epoch)
+            self.schedule(self.now_ms, "cycle-start", node.node_id, node.epoch)
 
     # -- duty cycle -----------------------------------------------------
 
-    def _on_cycle_start(self, node_id: str, data: dict) -> None:
+    def _on_cycle_start(self, node_id: str, epoch: int) -> None:
         node = self.nodes[node_id]
-        if node.state is not NodeState.WORKING or data["epoch"] != node.epoch:
+        if node.state is not NodeState.WORKING or epoch != node.epoch:
             return  # idled, or left from before a reset; lifecycle events restart cycling
         if node.battery.dead:
-            if node.node_id not in self._dead_reported:
-                self._dead_reported.add(node.node_id)
+            if node_id not in self._dead_reported:
+                self._dead_reported.add(node_id)
                 self._record(node, "battery-dead")
             return
         poll_due = (
@@ -377,23 +383,23 @@ class Simulator:
             and node.mode is InferenceMode.SENSOR
             and (node.cycle_index + 1) % self.scenario.poll_every_cycles == 0
         )
-        plan = node.plan_cycle(self.now_ms, self.table, poll_due=poll_due)
-        for step in plan.steps:
-            self.schedule(step.at_ms, "op", node.node_id, step=step)
-        if plan.predict_at is not None:
-            self.schedule(plan.predict_at, "predict-local", node.node_id)
-        if plan.request_at is not None:
-            self.schedule(plan.request_at, "radio-window", node.node_id)
-        if plan.poll_at is not None:
-            self.schedule(plan.poll_at, "poll", node.node_id)
-        if plan.end_ms is not None:
-            self.schedule(plan.end_ms, "cycle-start", node.node_id, epoch=node.epoch)
+        at = self.now_ms
+        for step in node.plan_cycle(self.table):
+            self.schedule(at, "op", node_id, step)
+            start, at = at, at + step.duration_ms
+        if node.mode is InferenceMode.SENSOR:
+            self.schedule(at, "predict-local", node_id)
+            if poll_due:  # the poll's duration, known at poll time, ends the cycle
+                self.schedule(at, "poll", node_id)
+                return
+        else:  # the request leaves when the radio starts transmitting
+            self.schedule(start, "radio-window", node_id)
+        self.schedule(at, "cycle-start", node_id, epoch)
 
-    def _on_op(self, node_id: str, data: dict) -> None:
+    def _on_op(self, node_id: str, step: CycleStep) -> None:
         node = self.nodes[node_id]
-        step: CycleStep = data["step"]
         debit(node.battery, self.ledger, step.operation, step.energy_mj, self.now_ms, node_id)
-        self._record(node, step.kind, detail=f"duration_ms={step.duration_ms}")
+        self._record(node, step.kind, detail=step.detail)
 
     # -- predictions ------------------------------------------------------
 
@@ -402,7 +408,7 @@ class Simulator:
         self._pred_step[node_id] = step + 1
         return draw_ground_truth(self._truth[node_id], step)
 
-    def _on_predict_local(self, node_id: str, data: dict) -> None:
+    def _on_predict_local(self, node_id: str, data: None) -> None:
         node = self.nodes[node_id]
         if node.state is not NodeState.WORKING:
             return
@@ -443,7 +449,7 @@ class Simulator:
 
     # -- offboard requests ------------------------------------------------
 
-    def _on_radio_window(self, node_id: str, data: dict) -> None:
+    def _on_radio_window(self, node_id: str, data: None) -> None:
         node = self.nodes[node_id]
         if node.state is not NodeState.WORKING:
             return
@@ -463,20 +469,18 @@ class Simulator:
                           "request-timeout", node_id)
             return
         # the request reaches its tier the instant it is sent
-        self.schedule(self.now_ms, "tier-arrival", node_id, tier=tier, battery_pct=battery_pct)
+        self.schedule(self.now_ms, "tier-arrival", node_id, (tier, battery_pct))
 
-    def _on_tier_arrival(self, node_id: str, data: dict) -> None:
-        tier: Tier = data["tier"]
-        tier.queue.append((node_id, self.now_ms, data["battery_pct"]))
+    def _on_tier_arrival(self, node_id: str, data: tuple[Tier, float]) -> None:
+        tier, battery_pct = data
+        tier.queue.append((node_id, self.now_ms, battery_pct))
         if len(tier.queue) == 1:  # the tier was idle: it serves while its queue is not empty
-            self.schedule(self.now_ms + tier.service_ms, "tier-complete", node_id, tier=tier)
+            self.schedule(self.now_ms + tier.service_ms, "tier-complete", node_id, tier)
 
-    def _on_tier_complete(self, node_id: str, data: dict) -> None:
-        tier: Tier = data["tier"]
+    def _on_tier_complete(self, node_id: str, tier: Tier) -> None:
         self._handle_prediction(tier, *tier.queue.popleft())
         if tier.queue:
-            self.schedule(self.now_ms + tier.service_ms, "tier-complete",
-                          tier.queue[0][0], tier=tier)
+            self.schedule(self.now_ms + tier.service_ms, "tier-complete", tier.queue[0][0], tier)
 
     def _handle_prediction(self, tier: Tier, node_id: str, sent_ms: float,
                            battery_pct: float) -> None:
@@ -502,14 +506,14 @@ class Simulator:
             verdict = heuristics.cloud_heuristic(tracker, battery_pct, self.params)
         delay = self._latency(node_id, tier.mode)
         self.schedule(self.now_ms + delay, "response-arrival", node_id,
-                      sent_ms=sent_ms, origin=tier.mode, verdict=verdict)
+                      (sent_ms, tier.mode, verdict))
 
-    def _on_response_arrival(self, node_id: str, data: dict) -> None:
+    def _on_response_arrival(self, node_id: str,
+                             data: tuple[float, InferenceMode, InferenceMode]) -> None:
         """A tier's answer reaches the node: blank when the tier keeps it, else a command."""
         node = self.nodes[node_id]
-        origin: InferenceMode = data["origin"]
-        verdict: InferenceMode = data["verdict"]
-        latency = self.now_ms - data["sent_ms"]
+        sent_ms, origin, verdict = data
+        latency = self.now_ms - sent_ms
         if verdict is origin:
             self._record(node, "response-blank", latency_ms=latency,
                          detail=f"origin={origin.value}")
@@ -519,12 +523,12 @@ class Simulator:
         if node.mode is origin:  # a tier the node has left no longer decides for it
             self._apply_mode_change(node, verdict, origin=f"{origin.value}-heuristic")
 
-    def _on_request_timeout(self, node_id: str, data: dict) -> None:
+    def _on_request_timeout(self, node_id: str, data: None) -> None:
         self._record(self.nodes[node_id], "request-timeout", detail="no response before timeout")
 
     # -- commands -----------------------------------------------------
 
-    def _on_command_arrival(self, node_id: str, data: dict) -> None:
+    def _on_command_arrival(self, node_id: str, cmd: PropertyCommand) -> None:
         """A scenario command reaches the gateway.
 
         Gateway-targeted properties apply on the spot. Node-targeted
@@ -533,7 +537,6 @@ class Simulator:
         node, at the next transmit window otherwise. Nodes outside
         WORKING keep their radio listening, so delivery is immediate.
         """
-        cmd: PropertyCommand = data["command"]
         spec = PROPERTY_TABLE.get(cmd.name)
         if spec is not None and spec.target == "gateway":
             response = self.gateway.apply_command(cmd)
@@ -578,7 +581,7 @@ class Simulator:
 
     # -- polling ------------------------------------------------------
 
-    def _on_poll(self, node_id: str, data: dict) -> None:
+    def _on_poll(self, node_id: str, data: None) -> None:
         node = self.nodes[node_id]
         pending = self.gateway.pending_commands[node.node_id]
         radio = self.table.radio_tx
@@ -595,8 +598,7 @@ class Simulator:
                   self.now_ms, node_id)
             self._record(node, "poll-empty")
         if node.state is NodeState.WORKING:
-            self.schedule(self.now_ms + duration, "cycle-start", node.node_id,
-                          epoch=node.epoch)
+            self.schedule(self.now_ms + duration, "cycle-start", node.node_id, node.epoch)
 
 
 def _command_detail(cmd: PropertyCommand, response: PropertyResponse) -> str:

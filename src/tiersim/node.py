@@ -1,9 +1,9 @@
 """Sensor node behavioral model.
 
 Covers the five-state lifecycle machine, the method-gated device
-property registry, and duty-cycle planning (sleep phase plus an active
-phase whose shape depends on the inference mode). The node produces
-timed cycle plans; executing them against the event queue and the
+property registry, and the duty cycle's steps (sleep phase plus an
+active phase whose shape depends on the inference mode). The node lists
+the steps; timing them on the event queue and debiting them from the
 energy ledger is the engine's job.
 """
 
@@ -117,29 +117,13 @@ class PropertyResponse:
 
 @dataclass(frozen=True)
 class CycleStep:
-    """One timed operation inside a duty cycle and the energy it costs."""
+    """One operation inside a duty cycle and the energy it costs."""
 
-    at_ms: float
     kind: str  # trace event kind
     duration_ms: float
     operation: str  # energy ledger tag
     energy_mj: float
-
-
-@dataclass(frozen=True)
-class CyclePlan:
-    """The timed layout of one duty cycle.
-
-    ``end_ms`` is None when the cycle ends with a command poll, whose
-    duration depends on whether commands are pending and is therefore
-    resolved by the engine at poll time.
-    """
-
-    steps: tuple[CycleStep, ...]
-    predict_at: float | None = None
-    request_at: float | None = None
-    poll_at: float | None = None
-    end_ms: float | None = None
+    detail: str  # the op row's trace detail
 
 
 @dataclass
@@ -161,6 +145,8 @@ class SensorNode:
     properties: dict[str, object] = field(default_factory=dict)
     cycle_index: int = 0
     epoch: int = 0  # WORKING spells entered; a duty cycle belongs to one
+    # (mode, sleep period, table, steps) of the last cycle planned
+    _cycle: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sleep_period_ms < 0:
@@ -248,30 +234,30 @@ class SensorNode:
 
     # -- duty cycle ------------------------------------------------------
 
-    def plan_cycle(self, now_ms: float, table: EnergyTable, poll_due: bool = False) -> CyclePlan:
-        """Lay out the next duty cycle starting at ``now_ms``.
+    def plan_cycle(self, table: EnergyTable) -> tuple[CycleStep, ...]:
+        """The steps of the next duty cycle, in order.
 
         The cycle is a sleep phase followed by the active phase: a full
         sampling window, then either on-device inference or
-        compress-and-transmit. ``poll_due`` appends a command poll to an
-        on-device cycle (the only time such a node wakes its radio).
+        compress-and-transmit. The steps are built again only when the
+        mode, the sleep period or the table is a different object than at
+        the last cycle; identity, not ``==``, so that ``-0.0`` after
+        ``0.0`` still gets its own ``detail`` and energy text.
         """
         if self.state is not NodeState.WORKING:
             raise SimulationError(
                 f"node {self.node_id} cannot run a cycle in state {self.state.value}"
             )
         self.cycle_index += 1
-        sleep = self.sleep_period_ms
-        steps = [CycleStep(now_ms, "sleep", sleep, "deep_sleep", table.sleep_energy_mj(sleep))]
-        at = now_ms + sleep
-        for kind, operation, cost in table.active_phase(self.mode):
-            steps.append(CycleStep(at, kind, cost.duration_ms, operation, cost.energy_mj))
-            at += cost.duration_ms
-        if self.mode is InferenceMode.SENSOR:
-            return CyclePlan(tuple(steps), predict_at=at, poll_at=at if poll_due else None,
-                             end_ms=None if poll_due else at)
-        # the request leaves when the radio starts transmitting
-        return CyclePlan(steps=tuple(steps), request_at=steps[-1].at_ms, end_ms=at)
+        mode, sleep, cached = self.mode, self.sleep_period_ms, self._cycle
+        if cached is None or cached[0] is not mode or cached[1] is not sleep or cached[2] is not table:
+            steps = (CycleStep("sleep", sleep, "deep_sleep", table.sleep_energy_mj(sleep),
+                               f"duration_ms={sleep}"),
+                     *(CycleStep(kind, cost.duration_ms, operation, cost.energy_mj,
+                                 f"duration_ms={cost.duration_ms}")
+                       for kind, operation, cost in table.active_phase(mode)))
+            cached = self._cycle = (mode, sleep, table, steps)
+        return cached[3]
 
 
 def _event_for_target_state(current: NodeState, target: NodeState) -> LifecycleEvent | None:

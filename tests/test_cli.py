@@ -374,6 +374,32 @@ def test_cli_bad_node_ids_exit_2_with_the_path(tmp_path, capsys):
         assert f"bad.json: {where}: node id " in capsys.readouterr().err
 
 
+def _run_fails_if_reached(monkeypatch):
+    def run(*args, **kwargs):
+        raise AssertionError("the run started although --out cannot be written")
+    monkeypatch.setattr("tiersim.cli.Simulator", run)
+
+
+def test_cli_out_naming_a_file_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
+    _run_fails_if_reached(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("unrelated")
+    assert main(["--preset", "paper-latency", "--out", str(taken), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"tiersim: {taken}: {taken} is not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no staging directory
+    assert taken.read_text() == "unrelated"
+
+
+def test_cli_out_below_a_file_exits_2_before_the_run(tmp_path, monkeypatch, capsys):
+    _run_fails_if_reached(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("unrelated")
+    out = taken / "sub" / "out"
+    assert main(["--preset", "paper-latency", "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"tiersim: {out}: {taken} is not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 def test_cli_missing_file_exits_2(tmp_path, capsys):
     assert main([str(tmp_path / "absent.json")]) == 2
     assert "absent.json" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import weakref
 
 import pytest
@@ -14,8 +15,10 @@ from tiersim import (
     SimulationError,
     Simulator,
 )
+from tiersim.cli import run_scenario
 from tiersim.node import LifecycleEvent, PropertyCommand, PropertyMethod
 from tiersim.oracle import TierAccuracyProfile
+from tiersim.scenario import scenario_from_dict
 
 S, G, C = InferenceMode.SENSOR, InferenceMode.GATEWAY, InferenceMode.CLOUD
 
@@ -53,7 +56,7 @@ def test_provisioning_reaches_working_after_six_stages():
 def test_invalid_lifecycle_event_records_violation_and_keeps_state():
     sim = Simulator(scenario(duration_ms=5_000.0))
     sim.run_until(700.0)  # node is WORKING now
-    sim.schedule(800.0, "lifecycle", "node-0", event=LifecycleEvent.PROVISIONING_COMPLETE)
+    sim.schedule(800.0, "lifecycle", "node-0", LifecycleEvent.PROVISIONING_COMPLETE)
     records = sim.run_until(1_000.0)
     violations = kinds_for(records, "node-0", "protocol-violation")
     assert len(violations) == 1
@@ -422,6 +425,24 @@ def test_different_seeds_diverge():
     base = Scenario(duration_ms=1_800_000.0, seed=1)
     other = dataclasses.replace(base, seed=2)
     assert Simulator(base).run() != Simulator(other).run()
+
+
+def test_negative_zero_sleep_period_keeps_its_own_text(tmp_path):
+    # 0.0 == -0.0, but the sleep rows' detail and energy cells print the
+    # sign, so each node's cycle steps must follow its own float
+    doc = {
+        "duration_ms": 120000, "seed": 3,
+        "nodes": [{"node_id": "a", "sleep_period_ms": 0.0},
+                  {"node_id": "b", "sleep_period_ms": -0.0}],
+        "commands": [{"at_ms": 30000, "node_id": "a", "name": "sleep_period", "value": -0.0}],
+    }
+    run_scenario(scenario_from_dict(doc), tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("trace.jsonl", "energy.csv")}
+    assert digests == {
+        "trace.jsonl": "42a157883c78c30317724d9b6272bb9cc2d37533b0c7b5daa3344469d0054924",
+        "energy.csv": "bca44484b4f527c8caeff069275cddbbe21c70db0808d78209b1c9d022f70ac1",
+    }
 
 
 def test_adding_a_node_leaves_the_other_nodes_streams_alone():

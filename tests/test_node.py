@@ -11,8 +11,10 @@ from tiersim import (
     NodeState,
     PropertyCommand,
     PropertyMethod,
+    Scenario,
     SensorNode,
     SimulationError,
+    Simulator,
     new_tracker,
 )
 from tiersim.node import (
@@ -157,44 +159,111 @@ def test_property_table_matches_registry_contract():
 
 
 # -- cycle planning ---------------------------------------------------------
+#
+# The node lists a cycle's steps; the engine times them from the cycle's
+# start, so layouts are read off the records of a one-node run, whose
+# first cycle starts at 600 ms when provisioning ends.
+
+START = 600.0
+
+
+def one_node_run(mode="S", sleep_period_ms=30_000.0, duration_ms=100_000.0, **kwargs):
+    kwargs.setdefault("poll_enabled", False)
+    plan = Scenario(
+        duration_ms=duration_ms, adaptive=False,
+        nodes=(NodeConfig(initial_mode=mode, sleep_period_ms=sleep_period_ms),), **kwargs,
+    )
+    return Simulator(plan).run()
+
+
+def times(records, kind):
+    return [r.timestamp_ms for r in records if r.kind == kind]
+
 
 def test_onboard_cycle_layout_and_additivity():
-    node = working_node(sleep_period_ms=30_000.0)
-    plan = node.plan_cycle(1_000.0, TABLE)
-    kinds = [s.kind for s in plan.steps]
-    assert kinds == ["sleep", "sample", "infer-local"]
-    assert plan.predict_at == 1_000.0 + 30_000.0 + 10_000.0 + 14.0
-    assert plan.end_ms == plan.predict_at
-    assert plan.end_ms - 1_000.0 == 40_014.0  # sleep + active, exactly
-    assert plan.request_at is None and plan.poll_at is None
+    records = one_node_run()
+    kinds = [r.kind for r in records if START <= r.timestamp_ms < START + 40_014.0]
+    assert kinds[kinds.index("sleep"):] == ["sleep", "sample", "infer-local"]
+    assert times(records, "sleep")[0] == START
+    assert times(records, "sample")[0] == START + 30_000.0
+    assert times(records, "predict")[0] == START + 30_000.0 + 10_000.0 + 14.0
+    end = times(records, "sleep")[1]  # the next cycle starts where this one ends
+    assert end == times(records, "predict")[0]
+    assert end - START == 40_014.0  # sleep + active, exactly
+    assert times(records, "request-send") == [] and times(records, "poll") == []
 
 
 def test_offboard_cycle_layout_and_additivity():
-    node = working_node(sleep_period_ms=30_000.0, mode=G)
-    plan = node.plan_cycle(0.0, TABLE)
-    kinds = [s.kind for s in plan.steps]
-    assert kinds == ["sleep", "sample", "compress", "radio-tx"]
-    assert plan.request_at == 40_050.0
-    assert plan.end_ms == 44_750.0
-    durations = sum(s.duration_ms for s in plan.steps)
-    assert plan.end_ms == durations  # the cycle starts at 0.0
+    records = one_node_run(mode="G")
+    first = [r for r in records if START <= r.timestamp_ms < START + 44_750.0
+             and r.kind in ("sleep", "sample", "compress", "radio-tx")]
+    assert [r.kind for r in first] == ["sleep", "sample", "compress", "radio-tx"]
+    assert times(records, "request-send")[0] == START + 40_050.0
+    end = times(records, "sleep")[1]
+    assert end == START + 44_750.0
+    durations = sum(float(r.detail.removeprefix("duration_ms=")) for r in first)
+    assert end - START == durations
 
 
 def test_poll_cycle_defers_end():
-    node = working_node(sleep_period_ms=0.0)
-    plan = node.plan_cycle(0.0, TABLE, poll_due=True)
-    assert plan.poll_at == 10_014.0
-    assert plan.end_ms is None
+    records = one_node_run(sleep_period_ms=0.0, duration_ms=30_000.0,
+                           poll_enabled=True, poll_every_cycles=1)
+    assert times(records, "poll-empty")[0] == START + 10_014.0
+    # no cycle-start at the predict: the next cycle waits for the poll's radio time
+    assert times(records, "sleep")[1] == START + 10_014.0 + TABLE.radio_tx.duration_ms * 0.1
 
 
 def test_cycle_requires_working_state():
     node = SensorNode(node_id="n0")  # INITIAL
     with pytest.raises(SimulationError):
-        node.plan_cycle(0.0, TABLE)
+        node.plan_cycle(TABLE)
 
 
 def test_cycle_index_increments():
     node = working_node(sleep_period_ms=0.0)
-    node.plan_cycle(0.0, TABLE)
-    node.plan_cycle(10_014.0, TABLE)
+    node.plan_cycle(TABLE)
+    node.plan_cycle(TABLE)
     assert node.cycle_index == 2
+
+
+def test_cycle_steps_are_reused_while_mode_and_sleep_period_hold():
+    node = working_node(sleep_period_ms=30_000.0)
+    steps = node.plan_cycle(TABLE)
+    assert [(s.kind, s.detail) for s in steps] == [
+        ("sleep", "duration_ms=30000.0"), ("sample", "duration_ms=10000.0"),
+        ("infer-local", "duration_ms=14.0"),
+    ]
+    assert node.plan_cycle(TABLE) is steps
+    assert node.apply_command(cmd("sleep_period", "GET")).ok
+    assert node.plan_cycle(TABLE) is steps
+
+
+def test_cycle_steps_are_rebuilt_after_sleep_period_and_mode_changes():
+    node = working_node(sleep_period_ms=0.0)
+    steps = node.plan_cycle(TABLE)
+    assert node.apply_command(cmd("sleep_period", "SET", -0.0)).ok
+    negative_zero = node.plan_cycle(TABLE)  # equal to 0.0, but printed as -0.0
+    assert negative_zero is not steps
+    assert negative_zero[0].detail == "duration_ms=-0.0"
+    assert node.apply_command(cmd("sleep_period", "SET", 5_000)).ok
+    slept = node.plan_cycle(TABLE)
+    assert slept[0].duration_ms == 5_000.0 and slept[0].detail == "duration_ms=5000.0"
+    assert node.apply_command(cmd("inference_mode", "SET", "G")).ok
+    offboard = node.plan_cycle(TABLE)
+    assert [s.kind for s in offboard] == ["sleep", "sample", "compress", "radio-tx"]
+    assert offboard[0] == slept[0]
+
+
+def test_mid_cycle_sleep_period_change_moves_only_the_next_cycle():
+    # a transmitting node takes the command at its first radio window, mid-cycle
+    commands = (PropertyCommand("node-0", "sleep_period", value=5_000, at_ms=1_000.0),)
+    records = one_node_run(mode="G", commands=commands)
+    applied = [r for r in records if r.kind == "property-command"]
+    assert [r.timestamp_ms for r in applied] == [START + 40_050.0]
+    sleeps = [(r.timestamp_ms, r.detail) for r in records if r.kind == "sleep"][:3]
+    end = START + 44_750.0
+    assert sleeps == [
+        (START, "duration_ms=30000.0"),
+        (end, "duration_ms=5000.0"),
+        (end + 5_000.0 + 14_750.0, "duration_ms=5000.0"),
+    ]
