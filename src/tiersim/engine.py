@@ -125,18 +125,25 @@ class LatencyModel:
 
 @dataclass
 class Tier:
-    """One offboard inference tier: a FIFO request queue and per-node histories."""
+    """One inference location: its timing and each node's anomaly window.
+
+    The depth, latency constant, jitter half-width and service time are
+    read once from the scenario. Only the gateway and the cloud serve
+    requests, from a FIFO queue; the sensor predicts in place.
+    """
 
     mode: InferenceMode
-    service_ms: float
     depth: int
+    latency_ms: float
+    jitter_ms: float
+    service_ms: float
     # each queued request is (node_id, sent_ms, battery_pct)
     queue: deque[tuple[str, float, float]] = field(default_factory=deque)
     trackers: dict[str, AnomalyTracker] = field(default_factory=dict)
 
-    def reset(self, node_id: str) -> None:
-        """Start the node's history afresh, as after a mode change."""
-        self.trackers[node_id] = new_tracker(self.depth)
+
+#: The gateway's id, answered to ``GET gateway_id``.
+GATEWAY_ID = "gateway-0"
 
 
 @dataclass
@@ -144,7 +151,6 @@ class Gateway(Tier):
     """The gateway tier, which also holds pending node commands and its device properties."""
 
     pending_commands: dict[str, deque[PropertyCommand]] = field(default_factory=dict)
-    gateway_id: str = "gateway-0"
     provisioned_nodes: list[str] = field(default_factory=list)
 
     def apply_command(self, cmd: PropertyCommand) -> PropertyResponse:
@@ -155,7 +161,7 @@ class Gateway(Tier):
         if cmd.method not in spec.methods:
             return PropertyResponse("method-not-allowed")
         if cmd.name == "gateway_id":
-            return PropertyResponse("ok", self.gateway_id)
+            return PropertyResponse("ok", GATEWAY_ID)
         # provisioned_nodes: a SET takes a list of node ids, an ADD one id
         if cmd.method is PropertyMethod.GET:
             return PropertyResponse("ok", list(self.provisioned_nodes))
@@ -176,7 +182,6 @@ class Simulator:
         self.scenario = scenario
         self.params = scenario.params
         self.table = scenario.energy
-        self.latency_model = scenario.latency
         self.anomaly_labels = scenario.anomaly_label_set()
         self.now_ms = 0.0  # the timestamp of the event being handled
         self._heap: list[tuple[float, int, str, str, object]] = []
@@ -185,11 +190,17 @@ class Simulator:
         self.ledger = EnergyLedger()
 
         self.nodes: dict[str, SensorNode] = {}
-        gateway, cloud = InferenceMode.GATEWAY, InferenceMode.CLOUD
-        self.gateway = Gateway(gateway, scenario.gateway_service_ms,
-                               self.params.history_depth(gateway))
-        self.cloud = Tier(cloud, scenario.cloud_service_ms, self.params.history_depth(cloud))
-        self._tiers = (self.gateway, self.cloud)
+        sensor, gateway, cloud = InferenceMode.SENSOR, InferenceMode.GATEWAY, InferenceMode.CLOUD
+        latency, depth = scenario.latency, self.params.history_depth
+        self.gateway = Gateway(gateway, depth(gateway), latency.constant(gateway),
+                               latency.jitter(gateway), scenario.gateway_service_ms)
+        self.tiers: dict[InferenceMode, Tier] = {
+            sensor: Tier(sensor, depth(sensor), latency.constant(sensor),
+                         latency.jitter(sensor), 0.0),
+            gateway: self.gateway,
+            cloud: Tier(cloud, depth(cloud), latency.constant(cloud), latency.jitter(cloud),
+                        scenario.cloud_service_ms),
+        }
         self._truth: dict[str, GroundTruthProcess] = {}
         self._pred_step: dict[str, int] = {}
         # Per-node streams, each derived on first use from its own labels.
@@ -206,12 +217,12 @@ class Simulator:
         node = SensorNode(
             node_id=cfg.node_id,
             mode=InferenceMode.parse(cfg.initial_mode),
-            tracker=new_tracker(self.params.history_depth_sensor),
             battery=cfg.make_battery(),
             sleep_period_ms=cfg.sleep_period_ms,
         )
         self.nodes[cfg.node_id] = node
-        self._reset_tiers(node)
+        for tier in self.tiers.values():
+            tier.trackers[cfg.node_id] = new_tracker(tier.depth)
         self.gateway.pending_commands[cfg.node_id] = deque()
         self._truth[cfg.node_id] = GroundTruthProcess(
             seed=derive_seed(self.scenario.seed, cfg.node_id, "truth"),
@@ -322,13 +333,12 @@ class Simulator:
                 derive_seed(self.scenario.seed, node_id, label))
         return rng
 
-    def _latency(self, node_id: str, mode: InferenceMode) -> float:
+    def _latency(self, tier: Tier, node_id: str) -> float:
         """One response latency; only jitter draws from the node's latency stream."""
-        half_width = self.latency_model.jitter(mode)
-        base = self.latency_model.constant(mode)
+        half_width = tier.jitter_ms
         if half_width == 0:
-            return base
-        return base + self._rng(node_id, "latency").uniform(-half_width, half_width)
+            return tier.latency_ms
+        return tier.latency_ms + self._rng(node_id, "latency").uniform(-half_width, half_width)
 
     # -- provisioning and lifecycle ------------------------------------
 
@@ -403,49 +413,51 @@ class Simulator:
 
     # -- predictions ------------------------------------------------------
 
-    def _next_truth(self, node_id: str) -> ConditionLabel:
+    def _predict(self, tier: Tier, node_id: str
+                 ) -> tuple[AnomalyTracker, ConditionLabel, ConditionLabel]:
+        """One prediction at ``tier``: ground truth, the tier's label, its window's new bit."""
         step = self._pred_step[node_id]
         self._pred_step[node_id] = step + 1
-        return draw_ground_truth(self._truth[node_id], step)
+        truth = draw_ground_truth(self._truth[node_id], step)
+        label = self._oracle(node_id, tier.mode).predict(truth)
+        bit = 1 if label in self.anomaly_labels else 0
+        tracker = tier.trackers[node_id] = heuristics.update_history(
+            tier.trackers[node_id], bit, True)
+        return tracker, label, truth
 
     def _on_predict_local(self, node_id: str, data: None) -> None:
         node = self.nodes[node_id]
         if node.state is not NodeState.WORKING:
             return
-        truth = self._next_truth(node.node_id)
-        label = self._oracle(node.node_id, InferenceMode.SENSOR).predict(truth)
-        bit = 1 if label in self.anomaly_labels else 0
-        node.tracker = heuristics.update_history(node.tracker, bit, True)
-        latency = self._latency(node.node_id, InferenceMode.SENSOR)
+        tier = self.tiers[InferenceMode.SENSOR]
+        tracker, label, truth = self._predict(tier, node_id)
         self._record(
-            node, "predict", tracker=node.tracker, latency_ms=latency,
+            node, "predict", tracker=tracker, latency_ms=self._latency(tier, node_id),
             detail=f"label={label.value} truth={truth.value}",
         )
         if not self.scenario.adaptive:
             return
-        verdict = heuristics.sensor_heuristic(node.tracker, node.battery.level_pct, self.params)
+        verdict = heuristics.sensor_heuristic(tracker, node.battery.level_pct, self.params)
         if verdict is not node.mode:
-            self._apply_mode_change(node, verdict, origin="sensor-heuristic")
+            self._change_mode(node, verdict, "sensor-heuristic")
 
-    def _apply_mode_change(self, node: SensorNode, new_mode: InferenceMode, origin: str) -> None:
-        """Switch a node's mode and reset its history at every tier.
+    def _change_mode(self, node: SensorNode, mode: InferenceMode, origin: str) -> None:
+        """Move a node to ``mode``, empty its window at every tier, record the change.
 
-        Heuristic-driven changes must stay on the legal transition graph;
-        a violation means the serving tier ran the wrong heuristic.
+        A heuristic's verdict must stay on the legal transition graph; a
+        violation means the serving tier ran the wrong heuristic. An
+        operator's SET has set the mode already and may pick any tier.
         """
-        previous = node.mode
-        if not node.set_mode(new_mode):
-            return
-        if origin.endswith("-heuristic") and new_mode not in MODE_TRANSITION_GRAPH[previous]:
+        previous, node.mode = node.mode, mode
+        if origin.endswith("-heuristic") and mode not in MODE_TRANSITION_GRAPH[previous]:
             raise SimulationError(
-                f"illegal {previous.value}->{new_mode.value} transition from {origin}"
+                f"illegal {previous.value}->{mode.value} transition from {origin}"
             )
-        self._reset_tiers(node)
-        self._record(node, "mode-change", tracker=node.tracker, detail=origin)
-
-    def _reset_tiers(self, node: SensorNode) -> None:
-        for tier in self._tiers:
-            tier.reset(node.node_id)
+        node_id = node.node_id
+        for tier in self.tiers.values():
+            tier.trackers[node_id] = new_tracker(tier.depth)
+        self._record(node, "mode-change", tracker=self.tiers[mode].trackers[node_id],
+                     detail=origin)
 
     # -- offboard requests ------------------------------------------------
 
@@ -456,12 +468,10 @@ class Simulator:
         self._deliver_pending_commands(node)
         if node.state is not NodeState.WORKING or node.mode is InferenceMode.SENSOR:
             return  # a delivered command idled or de-escalated the node mid-window
-        if node.mode is InferenceMode.GATEWAY:
-            tier, dst = self.gateway, "dst=gateway"
-        else:
-            tier, dst = self.cloud, "dst=cloud"
+        tier = self.tiers[node.mode]
         battery_pct = node.battery.level_pct
-        self._record(node, "request-send", battery_pct=battery_pct, detail=dst)
+        self._record(node, "request-send", battery_pct=battery_pct,
+                     detail="dst=gateway" if tier is self.gateway else "dst=cloud")
         if self.scenario.drop_probability > 0 and (
             self._rng(node_id, "drop").random() < self.scenario.drop_probability
         ):
@@ -487,25 +497,20 @@ class Simulator:
         """Serve one queued request: predict, update history, run the heuristic."""
         node = self.nodes[node_id]
         queue_len = len(tier.queue)
-        truth = self._next_truth(node_id)
-        label = self._oracle(node_id, tier.mode).predict(truth)
-        bit = 1 if label in self.anomaly_labels else 0
-        tracker = heuristics.update_history(tier.trackers[node_id], bit, True)
-        tier.trackers[node_id] = tracker
+        tracker, label, truth = self._predict(tier, node_id)
         self._record(
             node, "predict", tracker=tracker,
-            queue_len=queue_len if tier.mode is InferenceMode.GATEWAY else None,
+            queue_len=queue_len if tier is self.gateway else None,
             battery_pct=battery_pct,
             detail=f"tier={tier.mode.value} label={label.value} truth={truth.value}",
         )
         if not self.scenario.adaptive:
             verdict = tier.mode
-        elif tier.mode is InferenceMode.GATEWAY:
+        elif tier is self.gateway:
             verdict = heuristics.gateway_heuristic(tracker, battery_pct, queue_len, self.params)
         else:
             verdict = heuristics.cloud_heuristic(tracker, battery_pct, self.params)
-        delay = self._latency(node_id, tier.mode)
-        self.schedule(self.now_ms + delay, "response-arrival", node_id,
+        self.schedule(self.now_ms + self._latency(tier, node_id), "response-arrival", node_id,
                       (sent_ms, tier.mode, verdict))
 
     def _on_response_arrival(self, node_id: str,
@@ -521,7 +526,7 @@ class Simulator:
         self._record(node, "mode-command", latency_ms=latency,
                      detail=f"origin={origin.value} mode={verdict.value}")
         if node.mode is origin:  # a tier the node has left no longer decides for it
-            self._apply_mode_change(node, verdict, origin=f"{origin.value}-heuristic")
+            self._change_mode(node, verdict, f"{origin.value}-heuristic")
 
     def _on_request_timeout(self, node_id: str, data: None) -> None:
         self._record(self.nodes[node_id], "request-timeout", detail="no response before timeout")
@@ -573,9 +578,7 @@ class Simulator:
             self._record(node, "property-command",
                          detail=_command_detail(cmd, response))
             if node.mode is not before:
-                # the SET already reset the node tracker; mirror it tier-side
-                self._reset_tiers(node)
-                self._record(node, "mode-change", tracker=node.tracker, detail="operator")
+                self._change_mode(node, node.mode, "operator")
             if is_state_step:
                 self._after_lifecycle(node, event)
 

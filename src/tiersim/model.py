@@ -119,12 +119,7 @@ def new_tracker(depth: int) -> AnomalyTracker:
 
 @dataclass(frozen=True)
 class HeuristicParams:
-    """Thresholds consumed by the three adaptive-inference heuristics.
-
-    ``cloud_escalate_count`` is recorded for completeness but never read:
-    the cloud heuristic has no escalation branch (it is already the top
-    tier), so no behavior is attached to it.
-    """
+    """Thresholds consumed by the three adaptive-inference heuristics."""
 
     low_battery_pct: float = 20.0
     sensor_escalate_count: int = 4
@@ -132,7 +127,6 @@ class HeuristicParams:
     gateway_escalate_count: int = 8
     queue_limit: int = 4
     cloud_deescalate_count: int = 2
-    cloud_escalate_count: int | None = None
     history_depth_sensor: int = 32
     history_depth_gateway: int = 16
     history_depth_cloud: int = 8

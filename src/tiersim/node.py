@@ -15,14 +15,12 @@ import sys
 from dataclasses import dataclass, field
 
 from .model import (
-    AnomalyTracker,
     BatteryState,
     ConfigurationError,
     InferenceMode,
     NodeState,
     SimulationError,
     check_node_id,
-    new_tracker,
 )
 from .energy import EnergyTable
 
@@ -54,8 +52,6 @@ class InvalidTransitionError(Exception):
 
     def __init__(self, state: NodeState, event: LifecycleEvent) -> None:
         super().__init__(f"event {event.value} not valid in state {state.value}")
-        self.state = state
-        self.event = event
 
 
 class PropertyMethod(enum.Enum):
@@ -66,16 +62,15 @@ class PropertyMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class PropertySpec:
-    """One row of the device property registry."""
+    """One row of the device property registry; the registry key names it."""
 
-    name: str
     methods: frozenset[PropertyMethod]
     target: str  # "sensor" or "gateway"
 
 
 #: Device property registry: what can be read or written on which device.
 PROPERTY_TABLE: dict[str, PropertySpec] = {
-    name: PropertySpec(name, frozenset(PropertyMethod(m) for m in methods.split("/")), target)
+    name: PropertySpec(frozenset(PropertyMethod(m) for m in methods.split("/")), target)
     for name, methods, target in (
         ("tf_model_bytes", "SET", "sensor"),
         ("tf_model_size", "SET", "sensor"),
@@ -130,16 +125,16 @@ class CycleStep:
 class SensorNode:
     """One battery-powered sensing device.
 
-    The node owns its lifecycle state, inference mode, on-device anomaly
-    history, battery, and writable properties. It never changes mode on
-    its own inside a cycle; mode changes arrive as property commands (or,
-    in on-device mode, from the sensor heuristic between cycles).
+    The node owns its lifecycle state, inference mode, battery, and
+    writable properties. It never changes mode on its own inside a cycle;
+    mode changes arrive as property commands (or, in on-device mode, from
+    the sensor heuristic between cycles). Its anomaly windows, one per
+    tier, are the engine's.
     """
 
     node_id: str
     state: NodeState = NodeState.INITIAL
     mode: InferenceMode = InferenceMode.SENSOR
-    tracker: AnomalyTracker = field(default_factory=lambda: new_tracker(32))
     battery: BatteryState = field(default_factory=BatteryState)
     sleep_period_ms: float = 0.0  # back-to-back windows; battery studies use 30 s
     properties: dict[str, object] = field(default_factory=dict)
@@ -163,20 +158,6 @@ class SensorNode:
             raise InvalidTransitionError(self.state, event)
         self.state = TRANSITIONS[key]
         return self.state
-
-    # -- inference mode -----------------------------------------------
-
-    def set_mode(self, new_mode: InferenceMode) -> bool:
-        """Switch inference mode; returns True if the mode actually changed.
-
-        A real change resets the on-device anomaly history (the window
-        only describes predictions made under one mode).
-        """
-        if new_mode is self.mode:
-            return False
-        self.mode = new_mode
-        self.tracker = new_tracker(self.tracker.depth)
-        return True
 
     # -- device properties ----------------------------------------------
 
@@ -214,7 +195,7 @@ class SensorNode:
                 mode = value if isinstance(value, InferenceMode) else InferenceMode.parse(str(value))
             except ConfigurationError:
                 return PropertyResponse("invalid-value")
-            self.set_mode(mode)
+            self.mode = mode  # the engine empties the node's windows on a change
             return PropertyResponse("ok")
         if name == "state":
             try:

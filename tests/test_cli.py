@@ -123,7 +123,7 @@ def test_invalid_values_rejected():
     ({"duration_ms": float("nan")}, "duration_ms"),
     ({"latency": {"cloud_ms": float("inf")}}, "latency.cloud_ms"),
     ({"seed": float("inf")}, "seed"),
-    ({"heuristics": {"cloud_escalate_count": "x"}}, "heuristics.cloud_escalate_count"),
+    ({"out_dir": 5}, "out_dir"),
     ({"adaptive": "false"}, "adaptive"),
     ({"poll": {"enabled": 0}}, "poll.enabled"),
     ({"commands": [{"at_ms": -5, "node_id": "node-0", "name": "state"}]}, "commands[0]"),

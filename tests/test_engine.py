@@ -381,6 +381,29 @@ def test_mode_command_while_sensor_mode_arrives_at_next_poll():
     assert sim.nodes["node-0"].mode is G
 
 
+def test_operator_mode_set_empties_the_windows_only_on_a_change():
+    cmds = (PropertyCommand("node-0", "inference_mode", value="S", at_ms=1_000.0),
+            PropertyCommand("node-0", "inference_mode", value="G", at_ms=40_000.0),
+            PropertyCommand("node-0", "inference_mode", value="S", at_ms=70_000.0))
+    plan = scenario(duration_ms=120_000.0, adaptive=False, commands=cmds,
+                    poll_enabled=True, poll_every_cycles=1)
+    records = Simulator(plan).run()
+    applied = kinds_for(records, "node-0", "property-command")
+    assert [r.detail for r in applied] == ["SET inference_mode status=ok"] * 3
+    changes = kinds_for(records, "node-0", "mode-change")
+    assert [(r.timestamp_ms, r.detail, r.mode, r.history_hex, r.tau, r.sigma)
+            for r in changes] == [(r.timestamp_ms, "operator", mode, "0", 0, 0)
+                                  for r, mode in zip(applied[1:], "GS")]
+    predictions = kinds_for(records, "node-0", "predict")
+    # the SET to the current mode, at the first poll, leaves the S window counting up
+    assert applied[0].timestamp_ms < predictions[1].timestamp_ms
+    assert [r.tau for r in predictions if r.timestamp_ms <= changes[0].timestamp_ms] == \
+        [1, 2, 3, 4]
+    for change, tier in zip(changes, ("tier=G", "label=")):
+        after = next(r for r in predictions if r.timestamp_ms > change.timestamp_ms)
+        assert after.detail.startswith(tier) and after.tau == 1
+
+
 def test_provisioned_nodes_takes_a_list_of_ids_or_one_id():
     gateway = Simulator(scenario()).gateway
 

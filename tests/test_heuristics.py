@@ -35,6 +35,11 @@ class ListHistory:
             self.bits.pop(0)
 
     @property
+    def value(self) -> int:
+        """The window as one integer, newest bit in bit 0."""
+        return int("".join(map(str, self.bits)) or "0", 2)
+
+    @property
     def sigma(self) -> int:
         return sum(self.bits)
 
@@ -169,8 +174,11 @@ def test_cloud_warmup_stays():
 
 # -- properties -----------------------------------------------------------
 
+# Every step is checked, so a long sequence covers its prefixes too. A
+# mode change is drawn only for 0 out of 0..63 (about one step in 32), so
+# windows of every depth fill and slide between resets.
 update_sequences = st.lists(
-    st.tuples(st.integers(0, 1), st.booleans()), min_size=0, max_size=200
+    st.tuples(st.integers(0, 1), st.integers(0, 63).map(bool)), min_size=64, max_size=200
 )
 
 
@@ -182,6 +190,7 @@ def test_tracker_matches_list_reference(depth, seq):
     for bit, unchanged in seq:
         tracker = update_history(tracker, bit, unchanged)
         reference.update(bit, unchanged)
+        assert tracker.bits == reference.value
         assert anomaly_count(tracker) == reference.sigma
         assert tracker.length == reference.tau
 

@@ -94,7 +94,6 @@ def test_default_params_match_published_configuration():
     assert params.gateway_deescalate_count == 4
     assert params.gateway_escalate_count == 8
     assert params.cloud_deescalate_count == 2
-    assert params.cloud_escalate_count is None  # recorded, never read
 
 
 @pytest.mark.parametrize(

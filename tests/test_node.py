@@ -15,7 +15,6 @@ from tiersim import (
     SensorNode,
     SimulationError,
     Simulator,
-    new_tracker,
 )
 from tiersim.node import (
     InvalidTransitionError,
@@ -99,25 +98,13 @@ def test_set_sleep_period():
     assert node.sleep_period_ms == 5_000.0
 
 
-def test_set_inference_mode_resets_tracker():
+def test_set_inference_mode_sets_the_mode():
     node = working_node()
-    node.tracker = new_tracker(32)
-    from tiersim import update_history
-    for bit in (1, 1, 0, 1):
-        node.tracker = update_history(node.tracker, bit, True)
-    assert node.tracker.length == 4
     response = node.apply_command(cmd("inference_mode", "SET", "G"))
     assert response.ok
     assert node.mode is G
-    assert (node.tracker.bits, node.tracker.length) == (0, 0)
-
-
-def test_set_same_mode_keeps_tracker():
-    node = working_node()
-    from tiersim import update_history
-    node.tracker = update_history(node.tracker, 1, True)
-    node.apply_command(cmd("inference_mode", "SET", "S"))
-    assert node.tracker.length == 1  # no change, no reset
+    assert node.apply_command(cmd("inference_mode", "SET", "G")).ok  # same mode: a no-op
+    assert node.mode is G
 
 
 def test_sensor_id_is_get_only():
