@@ -107,6 +107,41 @@ def test_set_inference_mode_sets_the_mode():
     assert node.mode is G
 
 
+def delivered_mode_set(mode: str):
+    """Deliver ``SET inference_mode`` to a WORKING S node whose S window holds four bits.
+
+    The node keeps no window of its own: the simulator holds one per
+    tier and empties all of them when a command changes the node's mode.
+    """
+    sim = Simulator(Scenario(duration_ms=1_000.0, poll_enabled=False))
+    node = sim.nodes["node-0"]
+    node.state = NodeState.WORKING
+    from tiersim import update_history
+    window = sim.tiers[S].trackers["node-0"]
+    for bit in (1, 1, 0, 1):
+        window = update_history(window, bit, True)
+    sim.tiers[S].trackers["node-0"] = window
+    assert window.length == 4
+    sim.gateway.pending_commands["node-0"].append(
+        PropertyCommand("node-0", "inference_mode", PropertyMethod.SET, mode))
+    sim._deliver_pending_commands(node)
+    return sim, node
+
+
+def test_set_inference_mode_resets_tracker():
+    sim, node = delivered_mode_set("G")
+    assert node.mode is G
+    for tier in sim.tiers.values():
+        window = tier.trackers["node-0"]
+        assert (window.bits, window.length) == (0, 0)
+
+
+def test_set_same_mode_keeps_tracker():
+    sim, node = delivered_mode_set("S")
+    assert node.mode is S
+    assert sim.tiers[S].trackers["node-0"].length == 4  # no change, no reset
+
+
 def test_sensor_id_is_get_only():
     node = SensorNode(node_id="n0")
     assert node.apply_command(cmd("sensor_id", "GET")).value == "n0"
