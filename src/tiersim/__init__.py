@@ -12,6 +12,7 @@ from .model import (
     ConfigurationError,
     HeuristicParams,
     InferenceMode,
+    LatencyModel,
     NodeState,
     SimEvent,
     SimulationError,
@@ -49,7 +50,7 @@ from .node import (
     PropertyResponse,
     SensorNode,
 )
-from .engine import LatencyModel, Simulator
+from .engine import Simulator
 from .scenario import (
     NodeConfig,
     PRESETS,

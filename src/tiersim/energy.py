@@ -17,17 +17,16 @@ MS_PER_HOUR = 3_600_000.0
 
 @dataclass(frozen=True)
 class OperationCost:
-    """Measured data size, duration, and energy for one node operation."""
+    """Measured duration and energy of one node operation."""
 
-    size_kb: float
     duration_ms: float
     energy_mj: float
 
     def __post_init__(self) -> None:
-        if self.size_kb <= 0 or self.duration_ms <= 0 or self.energy_mj <= 0:
+        if self.duration_ms <= 0 or self.energy_mj <= 0:
             raise ConfigurationError(
-                "operation size, duration, and energy must all be positive, got "
-                f"({self.size_kb} KB, {self.duration_ms} ms, {self.energy_mj} mJ)"
+                "operation duration and energy must both be positive, got "
+                f"({self.duration_ms} ms, {self.energy_mj} mJ)"
             )
 
 
@@ -41,10 +40,10 @@ class EnergyTable:
     deep-sleep floor current.
     """
 
-    sampling: OperationCost = OperationCost(5.86, 10_000.0, 2_000.00)
-    local_inference: OperationCost = OperationCost(2.92, 14.0, 2.72)
-    compression: OperationCost = OperationCost(5.86, 50.0, 10.67)
-    radio_tx: OperationCost = OperationCost(3.00, 4_700.0, 1_570.00)
+    sampling: OperationCost = OperationCost(10_000.0, 2_000.00)
+    local_inference: OperationCost = OperationCost(14.0, 2.72)
+    compression: OperationCost = OperationCost(50.0, 10.67)
+    radio_tx: OperationCost = OperationCost(4_700.0, 1_570.00)
     deep_sleep_current_ua: float = 10.0
     supply_voltage_v: float = 3.7
 

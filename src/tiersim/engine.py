@@ -18,7 +18,7 @@ import heapq
 import random
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import heuristics
@@ -26,7 +26,6 @@ from .energy import EnergyLedger, debit
 from .model import (
     AnomalyTracker,
     ConditionLabel,
-    ConfigurationError,
     InferenceMode,
     NodeState,
     SimEvent,
@@ -68,59 +67,6 @@ MODE_TRANSITION_GRAPH: dict[InferenceMode, frozenset[InferenceMode]] = {
     InferenceMode.GATEWAY: frozenset({InferenceMode.SENSOR, InferenceMode.CLOUD}),
     InferenceMode.CLOUD: frozenset({InferenceMode.SENSOR, InferenceMode.GATEWAY}),
 }
-
-
-@dataclass(frozen=True)
-class LatencyModel:
-    """Per-mode end-to-end response latency, optionally jittered.
-
-    The constants are end-to-end (transport plus inference) under ideal
-    load; queueing delay at a loaded tier adds on top. Jitter is zero-mean
-    uniform with the configured half-width.
-    """
-
-    sensor_ms: float = 3.33
-    gateway_ms: float = 148.15
-    cloud_ms: float = 641.71
-    jitter_sensor_ms: float = 0.0
-    jitter_gateway_ms: float = 0.0
-    jitter_cloud_ms: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("sensor_ms", "gateway_ms", "cloud_ms"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"latency {name} must be > 0")
-        for mode in InferenceMode:
-            if self.jitter(mode) < 0 or self.jitter(mode) >= self.constant(mode):
-                raise ConfigurationError(
-                    f"jitter for {mode.value} must be in [0, latency) to keep "
-                    "latencies positive"
-                )
-
-    def constant(self, mode: InferenceMode) -> float:
-        if mode is InferenceMode.SENSOR:
-            return self.sensor_ms
-        if mode is InferenceMode.GATEWAY:
-            return self.gateway_ms
-        return self.cloud_ms
-
-    def jitter(self, mode: InferenceMode) -> float:
-        if mode is InferenceMode.SENSOR:
-            return self.jitter_sensor_ms
-        if mode is InferenceMode.GATEWAY:
-            return self.jitter_gateway_ms
-        return self.jitter_cloud_ms
-
-    def with_jitter_fraction(self, fraction: float) -> "LatencyModel":
-        """Copy with per-mode jitter half-widths set to a fraction of each constant."""
-        if not 0 <= fraction < 1:
-            raise ConfigurationError(f"jitter fraction must be in [0, 1), got {fraction}")
-        return replace(
-            self,
-            jitter_sensor_ms=fraction * self.sensor_ms,
-            jitter_gateway_ms=fraction * self.gateway_ms,
-            jitter_cloud_ms=fraction * self.cloud_ms,
-        )
 
 
 @dataclass
@@ -365,9 +311,7 @@ class Simulator:
         # config-reject leaves the node UNLOCKED awaiting operator input.
         if event is LifecycleEvent.PROVISIONING_COMPLETE:
             self.gateway.provisioned_nodes.append(node.node_id)
-            self.schedule(self.now_ms + stage_ms, "lifecycle", node.node_id,
-                          LifecycleEvent.PROPERTIES_UPDATED)
-        elif event is LifecycleEvent.RESET_COMMAND:
+        if event in (LifecycleEvent.PROVISIONING_COMPLETE, LifecycleEvent.RESET_COMMAND):
             self.schedule(self.now_ms + stage_ms, "lifecycle", node.node_id,
                           LifecycleEvent.PROPERTIES_UPDATED)
         elif event is LifecycleEvent.PROPERTIES_UPDATED:

@@ -1,15 +1,15 @@
 """Shared domain types for the tiered-inference network simulator.
 
 Value types only: inference modes, node lifecycle states, the anomaly
-history tracker, heuristic thresholds, battery state, and trace records.
-Behavior lives in the other modules; everything here is constructors
-plus validation.
+history tracker, heuristic thresholds, the latency model, battery state,
+and trace records. Behavior lives in the other modules; everything here
+is constructors plus validation.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 MAX_HISTORY_DEPTH = 64  # history must fit one machine word
 
@@ -173,6 +173,59 @@ class HeuristicParams:
         return self.history_depth_cloud
 
 
+@dataclass(frozen=True)
+class LatencyModel:
+    """Per-mode end-to-end response latency, optionally jittered.
+
+    The constants are end-to-end (transport plus inference) under ideal
+    load; queueing delay at a loaded tier adds on top. Jitter is zero-mean
+    uniform with the configured half-width.
+    """
+
+    sensor_ms: float = 3.33
+    gateway_ms: float = 148.15
+    cloud_ms: float = 641.71
+    jitter_sensor_ms: float = 0.0
+    jitter_gateway_ms: float = 0.0
+    jitter_cloud_ms: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("sensor_ms", "gateway_ms", "cloud_ms"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"latency {name} must be > 0")
+        for mode in InferenceMode:
+            if self.jitter(mode) < 0 or self.jitter(mode) >= self.constant(mode):
+                raise ConfigurationError(
+                    f"jitter for {mode.value} must be in [0, latency) to keep "
+                    "latencies positive"
+                )
+
+    def constant(self, mode: InferenceMode) -> float:
+        if mode is InferenceMode.SENSOR:
+            return self.sensor_ms
+        if mode is InferenceMode.GATEWAY:
+            return self.gateway_ms
+        return self.cloud_ms
+
+    def jitter(self, mode: InferenceMode) -> float:
+        if mode is InferenceMode.SENSOR:
+            return self.jitter_sensor_ms
+        if mode is InferenceMode.GATEWAY:
+            return self.jitter_gateway_ms
+        return self.jitter_cloud_ms
+
+    def with_jitter_fraction(self, fraction: float) -> "LatencyModel":
+        """Copy with per-mode jitter half-widths set to a fraction of each constant."""
+        if not 0 <= fraction < 1:
+            raise ConfigurationError(f"jitter fraction must be in [0, 1), got {fraction}")
+        return replace(
+            self,
+            jitter_sensor_ms=fraction * self.sensor_ms,
+            jitter_gateway_ms=fraction * self.gateway_ms,
+            jitter_cloud_ms=fraction * self.cloud_ms,
+        )
+
+
 @dataclass
 class BatteryState:
     """Battery bookkeeping in joules; ``drain`` keeps the percent level current.
@@ -184,7 +237,6 @@ class BatteryState:
 
     capacity_j: float = 18648.0  # 1,400 mAh x 3.7 V
     consumed_j: float = 0.0
-    voltage_v: float = 3.7
     level_pct: float = field(init=False)  # remaining charge in [0, 100]
     dead: bool = field(init=False)
 
@@ -195,8 +247,6 @@ class BatteryState:
             raise ConfigurationError(
                 f"consumed {self.consumed_j} J outside 0..capacity {self.capacity_j} J"
             )
-        if self.voltage_v <= 0:
-            raise ConfigurationError(f"battery voltage must be > 0 V, got {self.voltage_v}")
         self._derive()
 
     def _derive(self) -> None:

@@ -126,7 +126,7 @@ class SensorNode:
     """One battery-powered sensing device.
 
     The node owns its lifecycle state, inference mode, battery, and
-    writable properties. It never changes mode on its own inside a cycle;
+    sleep period. It never changes mode on its own inside a cycle;
     mode changes arrive as property commands (or, in on-device mode, from
     the sensor heuristic between cycles). Its anomaly windows, one per
     tier, are the engine's.
@@ -137,7 +137,6 @@ class SensorNode:
     mode: InferenceMode = InferenceMode.SENSOR
     battery: BatteryState = field(default_factory=BatteryState)
     sleep_period_ms: float = 0.0  # back-to-back windows; battery studies use 30 s
-    properties: dict[str, object] = field(default_factory=dict)
     cycle_index: int = 0
     epoch: int = 0  # WORKING spells entered; a duty cycle belongs to one
     # (mode, sleep period, table, steps) of the last cycle planned
@@ -208,9 +207,9 @@ class SensorNode:
             self.step_state(event)
             # callers need the lifecycle event to continue orchestration
             return PropertyResponse("ok", event)
-        # tf_model_bytes or tf_model_size: recorded as opaque payload; a
-        # model swap does not alter the prediction oracle mid-run.
-        self.properties[name] = value
+        # tf_model_bytes or tf_model_size: accepted and dropped, as neither
+        # can be read back and a model swap does not alter the prediction
+        # oracle mid-run.
         return PropertyResponse("ok")
 
     # -- duty cycle ------------------------------------------------------

@@ -17,13 +17,13 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .energy import EnergyTable
-from .engine import LatencyModel
 from .model import (
     BatteryState,
     ConditionLabel,
     ConfigurationError,
     HeuristicParams,
     InferenceMode,
+    LatencyModel,
     check_node_id,
 )
 from .node import PropertyCommand, PropertyMethod, SensorNode
@@ -35,7 +35,6 @@ class NodeConfig:
     node_id: str = "node-0"
     initial_mode: str = "S"
     battery_capacity_j: float = BatteryState.capacity_j
-    battery_voltage_v: float = BatteryState.voltage_v
     sleep_period_ms: float = SensorNode.sleep_period_ms
 
     def __post_init__(self) -> None:
@@ -47,11 +46,9 @@ class NodeConfig:
             )
         if self.sleep_period_ms < 0:
             raise ConfigurationError(f"sleep_period_ms must be >= 0, got {self.sleep_period_ms}")
-        self.make_battery()  # the battery's own checks, such as voltage > 0
 
     def make_battery(self) -> BatteryState:
-        return BatteryState(capacity_j=self.battery_capacity_j,
-                            voltage_v=self.battery_voltage_v)
+        return BatteryState(capacity_j=self.battery_capacity_j)
 
 
 class _EntryError(ConfigurationError):
@@ -290,55 +287,38 @@ def load_scenario(path: str | Path) -> Scenario:
 
 # -- presets ----------------------------------------------------------------
 
-
-def preset_latency() -> Scenario:
-    """The round-trip latency experiment: one node, 30 minutes, 10 s windows.
-
-    The seed is chosen so the default run visits all three inference
-    modes; per-mode latency series would otherwise be empty.
-    """
-    return Scenario(name="paper-latency")
-
-
-def preset_battery_bounds() -> Scenario:
-    """Projected-lifetime run: fixed on-device mode, 30 s sleep, run to exhaustion.
-
-    Heuristics and command polling are disabled so the simulated lifetime
-    matches the closed-form bound cycle for cycle.
-    """
-    return Scenario(
-        name="paper-battery-bounds",
-        duration_ms=500 * 3_600_000.0,  # past any possible lifetime
-        nodes=(NodeConfig(sleep_period_ms=30_000.0),),
-        adaptive=False,
-        poll_enabled=False,
-    )
-
-
-def preset_savings() -> Scenario:
-    """Zero-duration scenario whose summary carries the cycle-energy comparison."""
-    return Scenario(
-        name="paper-savings",
-        duration_ms=0.0,
-        nodes=(NodeConfig(sleep_period_ms=30_000.0),),
-    )
-
-
-PRESETS = {
-    "paper-latency": preset_latency,
-    "paper-battery-bounds": preset_battery_bounds,
-    "paper-savings": preset_savings,
+#: Built-in scenario documents, loaded by the same loader as a file.
+PRESETS: dict[str, dict] = {
+    # The round-trip latency experiment: one node, 30 minutes, 10 s windows.
+    # The default seed is chosen so the run visits all three inference
+    # modes; per-mode latency series would otherwise be empty.
+    "paper-latency": {"name": "paper-latency"},
+    # Projected-lifetime run: fixed on-device mode, 30 s sleep, run to
+    # exhaustion. Heuristics and command polling are off so the simulated
+    # lifetime matches the closed-form bound cycle for cycle.
+    "paper-battery-bounds": {
+        "name": "paper-battery-bounds",
+        "duration_ms": 500 * 3_600_000.0,  # past any possible lifetime
+        "nodes": [{"sleep_period_ms": 30_000.0}],
+        "adaptive": False,
+        "poll": {"enabled": False},
+    },
+    # Zero duration: the trace is empty, and the summary carries the
+    # per-cycle energy comparison and battery-life bounds of the first node.
+    "paper-savings": {
+        "name": "paper-savings",
+        "duration_ms": 0.0,
+        "nodes": [{"sleep_period_ms": 30_000.0}],
+    },
 }
 
 
 def load_preset(name: str) -> Scenario:
-    try:
-        builder = PRESETS[name]
-    except KeyError:
+    if name not in PRESETS:
         raise ConfigurationError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-        ) from None
-    return builder()
+        )
+    return scenario_from_dict(PRESETS[name], source=f"preset {name}")
 
 
 def with_overrides(

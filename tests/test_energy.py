@@ -24,20 +24,18 @@ TABLE = EnergyTable()
 
 
 def test_table_defaults():
-    assert TABLE.sampling == OperationCost(5.86, 10_000.0, 2_000.00)
-    assert TABLE.local_inference == OperationCost(2.92, 14.0, 2.72)
-    assert TABLE.compression == OperationCost(5.86, 50.0, 10.67)
-    assert TABLE.radio_tx == OperationCost(3.00, 4_700.0, 1_570.00)
+    assert TABLE.sampling == OperationCost(10_000.0, 2_000.00)
+    assert TABLE.local_inference == OperationCost(14.0, 2.72)
+    assert TABLE.compression == OperationCost(50.0, 10.67)
+    assert TABLE.radio_tx == OperationCost(4_700.0, 1_570.00)
     assert TABLE.deep_sleep_current_ua == 10.0
 
 
 def test_operation_cost_rejects_nonpositive():
     with pytest.raises(ConfigurationError):
-        OperationCost(0.0, 10.0, 1.0)
+        OperationCost(0.0, 1.0)
     with pytest.raises(ConfigurationError):
-        OperationCost(1.0, 0.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        OperationCost(1.0, 10.0, -1.0)
+        OperationCost(10.0, -1.0)
 
 
 def test_sleep_energy_30s_is_1_11_mj():

@@ -206,14 +206,14 @@ def test_tracker_invariants_hold_after_every_step(depth, seq):
         assert anomaly_count(tracker) <= tracker.length
 
 
-@given(
-    bits=st.integers(0, 1), depth=st.integers(1, 64),
-    prefill=st.lists(st.integers(0, 1), max_size=64),
-)
-def test_reset_arm_always_clears(bits, depth, prefill):
+@given(bits=st.integers(0, 1), depth=st.integers(1, 64), data=st.data())
+def test_reset_arm_always_clears(bits, depth, data):
+    # at least ``depth`` bits, so that every example resets a full window
+    prefill = data.draw(st.lists(st.integers(0, 1), min_size=depth, max_size=64))
     tracker = new_tracker(depth)
     for bit in prefill:
         tracker = update_history(tracker, bit, True)
+    assert tracker.warmed_up
     reset = update_history(tracker, bits, False)
     assert (reset.bits, reset.length) == (0, 0)
 

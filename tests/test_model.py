@@ -70,8 +70,6 @@ def test_battery_zero_capacity_is_dead():
 def test_battery_validation():
     with pytest.raises(ConfigurationError):
         BatteryState(capacity_j=10.0, consumed_j=11.0)
-    with pytest.raises(ConfigurationError):
-        BatteryState(voltage_v=0.0)
 
 
 @given(amounts=st.lists(st.floats(0, 1e6), max_size=50))

