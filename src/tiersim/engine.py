@@ -71,7 +71,7 @@ MODE_TRANSITION_GRAPH: dict[InferenceMode, frozenset[InferenceMode]] = {
 
 @dataclass
 class Tier:
-    """One inference location: its timing and each node's anomaly window.
+    """One inference location: its timing, and each node's anomaly window and oracle.
 
     The depth, latency constant, jitter half-width and service time are
     read once from the scenario. Only the gateway and the cloud serve
@@ -86,6 +86,8 @@ class Tier:
     # each queued request is (node_id, sent_ms, battery_pct)
     queue: deque[tuple[str, float, float]] = field(default_factory=deque)
     trackers: dict[str, AnomalyTracker] = field(default_factory=dict)
+    # each node's prediction stream at this tier, made on its first prediction
+    oracles: dict[str, ClassifierOracle] = field(default_factory=dict)
 
 
 #: The gateway's id, answered to ``GET gateway_id``.
@@ -150,7 +152,6 @@ class Simulator:
         self._truth: dict[str, GroundTruthProcess] = {}
         self._pred_step: dict[str, int] = {}
         # Per-node streams, each derived on first use from its own labels.
-        self._oracles: dict[tuple[str, InferenceMode], ClassifierOracle] = {}
         self._rngs: dict[tuple[str, str], random.Random] = {}
         self._dead_reported: set[str] = set()
 
@@ -265,13 +266,6 @@ class Simulator:
 
     # -- per-node streams ---------------------------------------------
 
-    def _oracle(self, node_id: str, mode: InferenceMode) -> ClassifierOracle:
-        oracle = self._oracles.get((node_id, mode))
-        if oracle is None:
-            oracle = self._oracles[(node_id, mode)] = ClassifierOracle.create(
-                self.scenario.seed, node_id, self.scenario.profiles[mode])
-        return oracle
-
     def _rng(self, node_id: str, label: str) -> random.Random:
         rng = self._rngs.get((node_id, label))
         if rng is None:
@@ -363,7 +357,11 @@ class Simulator:
         step = self._pred_step[node_id]
         self._pred_step[node_id] = step + 1
         truth = draw_ground_truth(self._truth[node_id], step)
-        label = self._oracle(node_id, tier.mode).predict(truth)
+        oracle = tier.oracles.get(node_id)
+        if oracle is None:
+            oracle = tier.oracles[node_id] = ClassifierOracle.create(
+                self.scenario.seed, node_id, self.scenario.profiles[tier.mode])
+        label = oracle.predict(truth)
         bit = 1 if label in self.anomaly_labels else 0
         tracker = tier.trackers[node_id] = heuristics.update_history(
             tier.trackers[node_id], bit, True)
@@ -377,7 +375,7 @@ class Simulator:
         tracker, label, truth = self._predict(tier, node_id)
         self._record(
             node, "predict", tracker=tracker, latency_ms=self._latency(tier, node_id),
-            detail=f"label={label.value} truth={truth.value}",
+            detail=f"label={label._value_} truth={truth._value_}",
         )
         if not self.scenario.adaptive:
             return
@@ -446,7 +444,7 @@ class Simulator:
             node, "predict", tracker=tracker,
             queue_len=queue_len if tier is self.gateway else None,
             battery_pct=battery_pct,
-            detail=f"tier={tier.mode.value} label={label.value} truth={truth.value}",
+            detail=f"tier={tier.mode._value_} label={label._value_} truth={truth._value_}",
         )
         if not self.scenario.adaptive:
             verdict = tier.mode

@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 import os
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape  # the C escaper of json.dumps
@@ -50,6 +50,10 @@ _SENSOR = InferenceMode.SENSOR.value
 
 #: Response kinds that complete a round-trip latency measurement.
 RESPONSE_KINDS = frozenset({"response-blank", "mode-command"})
+
+#: Rows formatted into one string before it goes to the file: enough that
+#: each write is large, few enough that a batch's text is never held whole.
+WRITE_CHUNK_ROWS = 512
 
 _ENERGY_FORMAT = (("timestamp_ms", "timestamp_ms"), ("node_id", "node_id"),
                   ("operation", "operation"), ("energy_mJ", "energy_mj"),
@@ -108,32 +112,37 @@ class _LineFormat:
             for template, (_, attr) in zip(templates, columns)
         ]
 
-    def lines(self, records: Iterable) -> str:
+    def _chunks(self, records: Iterable) -> Iterator[str]:
+        """The lines, ``WRITE_CHUNK_ROWS`` rows to a string, each ending with a newline."""
         records = records if isinstance(records, list) else list(records)  # read once per column
-        cells = []
-        for template, get, is_float in self._columns:
-            if is_float:
-                column = map(self._null, map(get, records), map(repr, map(get, records)))
-                cells.append(column if template == "%s" else map(template.__mod__, column))
-            else:
-                cells.append(map(_Cells(template, self._cell).__getitem__, map(get, records)))
-        # the empty last line ends the text with a newline
-        return "\n".join(chain(map(self._sep.join, zip(*cells)), ("",)))
+        columns = [(template, get, None if is_float else _Cells(template, self._cell).__getitem__)
+                   for template, get, is_float in self._columns]
+        for start in range(0, len(records), WRITE_CHUNK_ROWS):
+            chunk = records[start:start + WRITE_CHUNK_ROWS]
+            cells = []
+            for template, get, cell in columns:
+                if cell is None:  # a float column
+                    column = map(self._null, map(get, chunk), map(repr, map(get, chunk)))
+                    cells.append(column if template == "%s" else map(template.__mod__, column))
+                else:
+                    cells.append(map(cell, map(get, chunk)))
+            # the empty last line ends the chunk with a newline
+            yield "\n".join(chain(map(self._sep.join, zip(*cells)), ("",)))
 
     def write(self, records: Iterable, dest: str | os.PathLike | TextIO) -> None:
         """Append the lines to an open file, or write the header and lines to a new file.
 
         Every writer takes either destination: a path gets the whole
         artifact, and an open file gets only the rows, so that a caller can
-        stream one artifact in batches.
+        stream one artifact in batches. Either way the rows reach the file
+        in chunks, so no text of the whole batch is held at once.
         """
-        text = self.lines(records)
         if isinstance(dest, (str, os.PathLike)):
             with open(dest, "w", encoding="utf-8") as fh:
                 fh.write(self.header)
-                fh.write(text)
+                fh.writelines(self._chunks(records))
         else:
-            dest.write(text)
+            dest.writelines(self._chunks(records))
 
 
 _TRACE_CSV = _LineFormat(SimEvent, _TRACE_FORMAT)

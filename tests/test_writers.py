@@ -12,9 +12,13 @@ import csv
 import io
 import json
 import math
+import os
 import struct
 import sys
+import tracemalloc
 from dataclasses import astuple
+
+import pytest
 
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -25,6 +29,7 @@ from tiersim.heuristics import update_history
 from tiersim.model import AnomalyTracker, SimEvent, new_tracker
 from tiersim.summary import (
     TRACE_COLUMNS,
+    WRITE_CHUNK_ROWS,
     LatencySample,
     write_energy_csv,
     write_latency_csv,
@@ -110,6 +115,69 @@ def test_a_path_gets_the_header_and_an_empty_batch_no_rows(tmp_path):
     assert (tmp_path / "trace.jsonl").read_text() == ""
     assert (tmp_path / "energy.csv").read_text() == \
         "timestamp_ms,node_id,operation,energy_mJ,battery_pct\n"
+
+
+#: The tricky text a UTF-8 file can hold: all but the lone surrogate.
+FILE_TEXT = [t for t in TRICKY_TEXT if t != "\ud800"]
+
+
+def _event(i: int) -> SimEvent:
+    """A record whose text and counts repeat every few rows and whose floats do not."""
+    text = FILE_TEXT[i % len(FILE_TEXT)]
+    return SimEvent(i * 0.5, f"node-{i % 7}", text, None if i % 3 else "S", "WORKING",
+                    None if i % 2 else format(i % 64, "x"), i % 9, i % 4, None if i % 5 else i % 50,
+                    -0.0 if i % 11 == 0 else i / 3, 100.0 - i / 7, None if i % 4 else text)
+
+
+#: Each writer, the header a path gets, a batch of ``n`` of its rows and each row's line.
+WRITERS = {
+    "trace.csv": (write_trace_csv, ",".join(TRACE_COLUMNS) + "\n",
+                  lambda n: [_event(i) for i in range(n)],
+                  lambda r: _csv_line(astuple(r)[:len(TRACE_COLUMNS)])),
+    "trace.jsonl": (write_trace_jsonl, "",
+                    lambda n: [_event(i) for i in range(n)],
+                    lambda r: json.dumps(dict(zip(JSONL_KEYS, astuple(r))), sort_keys=True) + "\n"),
+    "energy.csv": (write_energy_csv, "timestamp_ms,node_id,operation,energy_mJ,battery_pct\n",
+                   lambda n: [LedgerEntry(i * 0.5, f"node-{i % 7}", FILE_TEXT[i % 7], i / 3,
+                                          -0.0 if i % 11 == 0 else 100.0 - i / 7)
+                              for i in range(n)],
+                   lambda e: _csv_line(astuple(e))),
+    "latency.csv": (write_latency_csv, ",".join(LatencySample._fields) + "\n",
+                    lambda n: [LatencySample(i * 0.5, f"node-{i % 7}", "SGC"[i % 3], i / 3)
+                               for i in range(n)],
+                    _csv_line),
+}
+
+C = WRITE_CHUNK_ROWS
+
+
+@pytest.mark.parametrize("name", WRITERS)
+@pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 2 * C + 1])
+def test_every_row_is_written_once_across_chunk_boundaries(tmp_path, name, n):
+    write, header, batch, line = WRITERS[name]
+    rows = batch(n)
+    expected = "".join(map(line, rows))
+    assert _written(write, rows) == expected
+    write(rows, tmp_path / name)
+    assert (tmp_path / name).read_bytes().decode("utf-8") == header + expected
+
+
+def _write_peak(write, rows) -> int:
+    with open(os.devnull, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            write(rows, fh)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("write", [write_trace_jsonl, write_trace_csv])
+def test_writer_memory_does_not_grow_with_the_batch(write):
+    # The records exist before tracing starts: only the writer's own
+    # allocations count, and they stay a few chunks' text at any batch size.
+    small, large = [_event(i) for i in range(4_096)], [_event(i) for i in range(16_384)]
+    assert _write_peak(write, large) <= 1.15 * _write_peak(write, small)
 
 
 def _finite_number(value) -> bool:
