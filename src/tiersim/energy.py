@@ -8,6 +8,7 @@ is exact for piecewise-constant power.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .model import BatteryState, ConfigurationError, InferenceMode
@@ -23,9 +24,10 @@ class OperationCost:
     energy_mj: float
 
     def __post_init__(self) -> None:
-        if self.duration_ms <= 0 or self.energy_mj <= 0:
+        # NaN fails every comparison, so it is rejected too; it would reach the scheduler
+        if not (0 < self.duration_ms < math.inf and 0 < self.energy_mj < math.inf):
             raise ConfigurationError(
-                "operation duration and energy must both be positive, got "
+                "operation duration and energy must both be positive and finite, got "
                 f"({self.duration_ms} ms, {self.energy_mj} mJ)"
             )
 
@@ -48,13 +50,13 @@ class EnergyTable:
     supply_voltage_v: float = 3.7
 
     def __post_init__(self) -> None:
-        if self.deep_sleep_current_ua <= 0:
+        if not 0 < self.deep_sleep_current_ua < math.inf:
             raise ConfigurationError(
-                f"deep sleep current must be > 0 uA, got {self.deep_sleep_current_ua}"
+                f"deep sleep current must be finite and > 0 uA, got {self.deep_sleep_current_ua}"
             )
-        if self.supply_voltage_v <= 0:
+        if not 0 < self.supply_voltage_v < math.inf:
             raise ConfigurationError(
-                f"supply voltage must be > 0 V, got {self.supply_voltage_v}"
+                f"supply voltage must be finite and > 0 V, got {self.supply_voltage_v}"
             )
 
     def sleep_energy_mj(self, sleep_ms: float) -> float:

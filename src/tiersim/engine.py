@@ -192,9 +192,9 @@ class Simulator:
         event, command or tier, ``(tier, battery_pct)`` for a
         ``tier-arrival``, ``(sent_ms, origin, verdict)`` for a
         ``response-arrival``, and None for the rest. A time before the
-        current one, or a kind with no handler, raises SimulationError.
+        current one or NaN, or a kind with no handler, raises SimulationError.
         """
-        if time_ms < self.now_ms:
+        if not time_ms >= self.now_ms:  # also catches a NaN time
             raise SimulationError(
                 f"event {kind} scheduled at {time_ms} ms, before current time "
                 f"{self.now_ms} ms"

@@ -251,7 +251,9 @@ class BatteryState:
 
     def _derive(self) -> None:
         capacity_j, consumed_j = self.capacity_j, self.consumed_j
-        self.level_pct = 100.0 * (capacity_j - consumed_j) / capacity_j if capacity_j > 0 else 0.0
+        level = 100.0 * (capacity_j - consumed_j) / capacity_j if capacity_j > 0 else 0.0
+        # 100 * c / c rounds above 100 for some capacities, such as 10485.870612460774 J
+        self.level_pct = level if level <= 100.0 else 100.0
         self.dead = consumed_j >= capacity_j
 
     def drain(self, energy_mj: float) -> float:

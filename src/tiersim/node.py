@@ -152,11 +152,11 @@ class SensorNode:
 
     def step_state(self, event: LifecycleEvent) -> NodeState:
         """Apply a lifecycle event; raises InvalidTransitionError on bad input."""
-        key = (self.state, event)
-        if key not in TRANSITIONS:
+        state = TRANSITIONS.get((self.state, event))
+        if state is None:
             raise InvalidTransitionError(self.state, event)
-        self.state = TRANSITIONS[key]
-        return self.state
+        self.state = state
+        return state
 
     # -- device properties ----------------------------------------------
 

@@ -165,9 +165,14 @@ def read_trace_csv(path: str | Path) -> list[SimEvent]:
     A trace repeats a few node ids, kinds, states and history windows
     across many rows, so each distinct value is kept as one shared string.
     The table lives only for the call: ``sys.intern`` would keep every
-    history window for the life of the process.
+    history window for the life of the process. Consecutive rows often
+    repeat a timestamp (events at one instant) or a battery level (a
+    node's rows between two debits), so a row whose cell text equals the
+    previous row's shares that row's float. The key is the text, not the
+    value, which keeps ``-0.0`` apart from ``0.0``.
     """
     share = {}.setdefault
+    t_text = battery_text = None  # the previous row's cells, parsed as t_value, battery_value
     with open(path, encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != ",".join(TRACE_COLUMNS):
             raise ConfigurationError(f"{path}: row 1: missing or wrong header")
@@ -180,13 +185,17 @@ def read_trace_csv(path: str | Path) -> list[SimEvent]:
                 )
             t, node_id, kind, mode, state, bits, tau, sigma, queue, latency, battery = cells
             try:
+                if t != t_text:
+                    t_value, t_text = float(t), t
+                if battery != battery_text:
+                    battery_value, battery_text = float(battery) if battery else None, battery
                 records.append(SimEvent(
-                    float(t), share(node_id, node_id), share(kind, kind), mode or None,
+                    t_value, share(node_id, node_id), share(kind, kind), mode or None,
                     share(state, state) if state else None,
                     share(bits, bits) if bits else None,
                     int(tau) if tau else None, int(sigma) if sigma else None,
                     int(queue) if queue else None, float(latency) if latency else None,
-                    float(battery) if battery else None,
+                    battery_value,
                 ))
             except ValueError as err:
                 raise ConfigurationError(f"{path}: row {i}: {err}") from None

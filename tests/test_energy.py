@@ -38,6 +38,18 @@ def test_operation_cost_rejects_nonpositive():
         OperationCost(10.0, -1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_costs_are_rejected(bad):
+    with pytest.raises(ConfigurationError):
+        OperationCost(bad, 2.72)
+    with pytest.raises(ConfigurationError):
+        OperationCost(14.0, bad)
+    with pytest.raises(ConfigurationError):
+        EnergyTable(deep_sleep_current_ua=bad)
+    with pytest.raises(ConfigurationError):
+        EnergyTable(supply_voltage_v=bad)
+
+
 def test_sleep_energy_30s_is_1_11_mj():
     assert TABLE.sleep_energy_mj(30_000.0) == pytest.approx(1.11, abs=1e-9)
 

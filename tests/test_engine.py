@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import math
 import weakref
 
 import pytest
@@ -68,6 +69,13 @@ def test_scheduling_into_the_past_aborts():
     sim.run_until(10_000.0)
     with pytest.raises(SimulationError):
         sim.schedule(5_000.0, "cycle-start", "node-0")
+
+
+def test_scheduling_at_nan_aborts():
+    sim = Simulator(scenario())
+    sim.run_until(10_000.0)
+    with pytest.raises(SimulationError, match="scheduled at nan ms"):
+        sim.schedule(math.nan, "cycle-start", "node-0")
 
 
 def test_unknown_event_kind_is_rejected_when_scheduled():

@@ -1,7 +1,9 @@
 """Cross-module invariants checked over whole simulation traces."""
 
 import math
+import operator
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from tiersim import (
     NodeConfig,
     NodeState,
     Scenario,
+    SimEvent,
     Simulator,
     battery_life_bound,
     cycle_energy,
@@ -33,6 +36,7 @@ TABLE = EnergyTable()
 PERFECT = {mode: TierAccuracyProfile.perfect(mode) for mode in InferenceMode}
 
 LIFECYCLE_KINDS = {e.value: e for e in LifecycleEvent}
+_CSV_FIELDS = operator.attrgetter(*(f.name for f in fields(SimEvent) if f.name != "detail"))
 
 
 def test_state_machine_safety_over_trace():
@@ -231,7 +235,21 @@ def test_trace_invariants_hold_under_random_fleets_and_commands(scenario):
         total += entry.energy_mj
     assert sim.ledger.total_mj == total
 
+    # each node's level only falls; a tier's predict row, whose mode may
+    # already be S again, echoes the level attached at send time
+    levels = {}
+    for r in records:
+        if r.battery_pct is None or r.detail and r.detail.startswith("tier="):
+            continue
+        assert r.battery_pct <= levels.setdefault(r.node_id, r.battery_pct), r
+        levels[r.node_id] = r.battery_pct
+
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "trace.csv"
         write_trace_csv(records, path)
-        assert summarize(read_trace_csv(path), scenario) == summarize(records, scenario)
+        loaded = read_trace_csv(path)
+    # every field but the JSONL-only detail reads back exactly, -0.0 included
+    assert len(loaded) == len(records)
+    for r, back in zip(records, loaded):
+        assert repr(_CSV_FIELDS(back)) == repr(_CSV_FIELDS(r)), r
+    assert summarize(loaded, scenario) == summarize(records, scenario)

@@ -1,7 +1,7 @@
 """Tests for the shared domain value types."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tiersim import (
@@ -72,9 +72,12 @@ def test_battery_validation():
         BatteryState(capacity_j=10.0, consumed_j=11.0)
 
 
-@given(amounts=st.lists(st.floats(0, 1e6), max_size=50))
-def test_battery_consumption_monotone(amounts):
-    battery = BatteryState(capacity_j=18_648.0)
+# 100 * c / c rounds to 100.00000000000001 for this capacity
+@example(capacity=10485.870612460774, amounts=[])
+@given(capacity=st.floats(40.0, 18_648.0), amounts=st.lists(st.floats(0, 1e6), max_size=50))
+def test_battery_consumption_monotone(capacity, amounts):
+    battery = BatteryState(capacity_j=capacity)
+    assert battery.level_pct <= 100.0
     last = 0.0
     for amount in amounts:
         battery.drain(amount)

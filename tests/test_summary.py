@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -85,14 +86,40 @@ def test_read_back_shares_repeated_strings(tmp_path):
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # A record with its own copies of these strings costs about 360 B.
-    assert retained / len(records) < 250
+    # A record with its own copies of these strings costs about 360 B, and
+    # one with its own timestamp and battery floats about 193 B.
+    assert retained / len(records) < 180
     for attr in ("node_id", "kind", "state", "history_hex"):
         first = {}
         for r in records:
             value = getattr(r, attr)
             assert first.setdefault(value, value) is value, (attr, value)
         assert len(first) < len(records) / 4, attr
+
+
+def test_read_back_shares_a_float_with_the_previous_row_of_the_same_text(tmp_path):
+    path = tmp_path / "trace.csv"
+    rows = ["0.0,n0,sample,S,,,,,,,100.0",
+            "0.0,n1,sample,S,,,,,,,100.0",  # both cells repeat the row before
+            "-0.0,n0,sample,S,,,,,,,-0.0",  # equal values, other texts
+            "2.5,n0,sample,S,,,,,,,",
+            "2.5,n1,sample,S,,,,,,,",
+            "3.0,n1,sample,S,,,,,,,1e-3"]
+    path.write_text(",".join(TRACE_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+    records = read_trace_csv(path)
+    assert records[1].timestamp_ms is records[0].timestamp_ms
+    assert records[1].battery_pct is records[0].battery_pct
+    assert math.copysign(1.0, records[2].timestamp_ms) == -1.0
+    assert math.copysign(1.0, records[2].battery_pct) == -1.0
+    assert records[4].timestamp_ms is records[3].timestamp_ms
+    assert records[3].battery_pct is None and records[4].battery_pct is None
+    assert [(r.timestamp_ms, r.battery_pct) for r in records] == [
+        (0.0, 100.0), (0.0, 100.0), (0.0, 0.0), (2.5, None), (2.5, None), (3.0, 0.001)]
+
+    for bad in ("2.5,n1,sample,S,,,,,,,1e-3x", "x2.5,n1,sample,S,,,,,,,"):
+        path.write_text(",".join(TRACE_COLUMNS) + "\n" + "\n".join(rows[:4] + [bad]) + "\n")
+        with pytest.raises(ConfigurationError, match="row 6: could not convert"):
+            read_trace_csv(path)
 
 
 def test_wrong_header_rejected(tmp_path):
