@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from . import heuristics
+from . import heuristics, summary
 from .energy import EnergyLedger, debit
 from .model import (
     AnomalyTracker,
@@ -54,10 +54,6 @@ PROVISIONING_STAGES = (
     "configuration",
     "connection-termination",
 )
-
-#: Records a run hands to its sink at a time: enough that each batch's
-#: writes are large, few enough that a batch is a small share of memory.
-SINK_BATCH_RECORDS = 4_096
 
 #: Legal inference-mode transitions (self-loops excluded): a node being
 #: served on-device can only be escalated to the gateway, while gateway-
@@ -208,19 +204,22 @@ class Simulator:
                   sink: Callable[[list[SimEvent]], object] | None = None) -> list[SimEvent]:
         """Execute all events up to and including ``t_end_ms``; returns the trace.
 
-        With a ``sink``, the simulator keeps no trace: each time its buffer
-        reaches ``SINK_BATCH_RECORDS`` records it hands them to the sink and
-        starts a new buffer, and it hands over the remainder once at the
-        end, so the list returned is empty. The ledger stays complete.
+        With a ``sink``, the simulator keeps no trace: it hands the sink
+        one write chunk at a time, ``summary.WRITE_CHUNK_ROWS`` records,
+        and the remainder once at the end, so the list returned is empty.
+        Every batch but the last is exactly that long. The ledger stays
+        complete.
         """
         heap = self._heap
+        rows = summary.WRITE_CHUNK_ROWS  # the writers' row budget is the batch size
         while heap and heap[0][0] <= t_end_ms:
             # ``schedule`` admits no past time, so the heap pops in time order
             self.now_ms, _, kind, node_id, data = heapq.heappop(heap)
             _HANDLERS[kind](self, node_id, data)
-            if sink is not None and len(self.records) >= SINK_BATCH_RECORDS:
-                sink(self.records)
-                self.records = []
+            # an event can record several rows; those past a chunk carry over
+            while sink is not None and len(self.records) >= rows:
+                batch, self.records = self.records[:rows], self.records[rows:]
+                sink(batch)
         if t_end_ms > self.now_ms:
             self.now_ms = t_end_ms
         if sink is not None:

@@ -9,6 +9,7 @@ is constructors plus validation.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 MAX_HISTORY_DEPTH = 64  # history must fit one machine word
@@ -190,11 +191,12 @@ class LatencyModel:
     jitter_cloud_ms: float = 0.0
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison, so these also reject it
         for name in ("sensor_ms", "gateway_ms", "cloud_ms"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"latency {name} must be > 0")
-        for mode in InferenceMode:
-            if self.jitter(mode) < 0 or self.jitter(mode) >= self.constant(mode):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"latency {name} must be finite and > 0")
+        for mode in InferenceMode:  # below a finite constant, so finite too
+            if not 0 <= self.jitter(mode) < self.constant(mode):
                 raise ConfigurationError(
                     f"jitter for {mode.value} must be in [0, latency) to keep "
                     "latencies positive"

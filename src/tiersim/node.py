@@ -143,9 +143,9 @@ class SensorNode:
     _cycle: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.sleep_period_ms < 0:
+        if not 0 <= self.sleep_period_ms < math.inf:  # NaN fails the comparison too
             raise ConfigurationError(
-                f"sleep period must be >= 0 ms, got {self.sleep_period_ms}"
+                f"sleep period must be finite and >= 0 ms, got {self.sleep_period_ms}"
             )
 
     # -- state machine ------------------------------------------------

@@ -40,12 +40,15 @@ class NodeConfig:
     def __post_init__(self) -> None:
         check_node_id(self.node_id)
         InferenceMode.parse(self.initial_mode)
-        if self.battery_capacity_j < 0:
+        # NaN fails every comparison, so these also reject it
+        if not 0 <= self.battery_capacity_j < math.inf:
             raise ConfigurationError(
-                f"battery_capacity_j must be >= 0, got {self.battery_capacity_j}"
+                f"battery_capacity_j must be finite and >= 0, got {self.battery_capacity_j}"
             )
-        if self.sleep_period_ms < 0:
-            raise ConfigurationError(f"sleep_period_ms must be >= 0, got {self.sleep_period_ms}")
+        if not 0 <= self.sleep_period_ms < math.inf:
+            raise ConfigurationError(
+                f"sleep_period_ms must be finite and >= 0, got {self.sleep_period_ms}"
+            )
 
     def make_battery(self) -> BatteryState:
         return BatteryState(capacity_j=self.battery_capacity_j)
@@ -90,8 +93,11 @@ class Scenario:
     out_dir: str | None = None  # default artifact directory; CLI --out wins
 
     def __post_init__(self) -> None:
-        if self.duration_ms < 0:
-            raise ConfigurationError(f"duration_ms must be >= 0, got {self.duration_ms}")
+        # NaN fails every comparison, so the time checks below also reject it
+        if not 0 <= self.duration_ms < math.inf:
+            raise ConfigurationError(
+                f"duration_ms must be finite and >= 0, got {self.duration_ms}"
+            )
         seen = set()
         for i, cfg in enumerate(self.nodes):
             if cfg.node_id in seen:
@@ -107,14 +113,14 @@ class Scenario:
             raise ConfigurationError("poll_every_cycles must be >= 1")
         if not 0.0 <= self.empty_poll_fraction <= 1.0:
             raise ConfigurationError("empty_poll_fraction must be in [0, 1]")
-        if self.gateway_service_ms < 0 or self.cloud_service_ms < 0:
-            raise ConfigurationError("tier service times must be >= 0")
-        if self.provisioning_stage_ms < 0:
-            raise ConfigurationError("provisioning_stage_ms must be >= 0")
+        if not (0 <= self.gateway_service_ms < math.inf and 0 <= self.cloud_service_ms < math.inf):
+            raise ConfigurationError("tier service times must be finite and >= 0")
+        if not 0 <= self.provisioning_stage_ms < math.inf:
+            raise ConfigurationError("provisioning_stage_ms must be finite and >= 0")
         if not 0.0 <= self.drop_probability < 1.0:
             raise ConfigurationError("drop_probability must be in [0, 1)")
-        if self.request_timeout_ms <= 0:
-            raise ConfigurationError("request_timeout_ms must be > 0")
+        if not 0 < self.request_timeout_ms < math.inf:
+            raise ConfigurationError("request_timeout_ms must be finite and > 0")
         try:  # the process's own checks, which the engine repeats per node
             GroundTruthProcess(anomaly_probability=self.anomaly_probability,
                                healthy_split=self.healthy_split,

@@ -46,7 +46,6 @@ TRACE_COLUMNS = tuple(column for column, _ in _TRACE_FORMAT)
 
 _kind = operator.attrgetter("kind")
 _MODES = tuple(m.value for m in InferenceMode)
-_SENSOR = InferenceMode.SENSOR.value
 
 #: Response kinds that complete a round-trip latency measurement.
 RESPONSE_KINDS = frozenset({"response-blank", "mode-command"})
@@ -347,8 +346,10 @@ class SummaryFold:
                     spans[node_id] = (mode, r.timestamp_ms)
             if kind == "battery-dead":
                 dead_ms[node_id] = r.timestamp_ms
-            elif kind == "predict" and mode != _SENSOR:
-                continue  # tier-side rows echo the level attached at send time
+            elif kind == "predict" and r.latency_ms is None:
+                # a tier-side row echoes the level attached at send time; its
+                # mode is the node's at service time, which may be S again
+                continue
             if r.battery_pct is not None and node_id in capacities:
                 last_pct[node_id] = r.battery_pct
         return series

@@ -1,10 +1,11 @@
 """Tests for scenario loading and the command-line interface."""
 
 import json
+import math
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -15,10 +16,12 @@ import tiersim.summary
 from tiersim import (
     ConfigurationError,
     InferenceMode,
+    LatencyModel,
     NodeConfig,
     PropertyCommand,
     PropertyMethod,
     Scenario,
+    SensorNode,
     Simulator,
     extract_latency_series,
     load_scenario,
@@ -26,9 +29,9 @@ from tiersim import (
     summarize,
 )
 from tiersim.cli import main, run_scenario
-from tiersim.engine import SINK_BATCH_RECORDS
 from tiersim.scenario import PRESETS, load_preset, scenario_from_dict
 from tiersim.summary import (
+    WRITE_CHUNK_ROWS,
     write_energy_csv,
     write_latency_csv,
     write_trace_csv,
@@ -156,6 +159,21 @@ def test_bad_values_rejected_at_load_with_path(doc, path):
         scenario_from_dict(doc)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("make, name", [
+    *((Scenario, name) for name in ("duration_ms", "provisioning_stage_ms", "gateway_service_ms",
+                                    "cloud_service_ms", "request_timeout_ms")),
+    (NodeConfig, "sleep_period_ms"),
+    (NodeConfig, "battery_capacity_j"),
+    (lambda **kwargs: SensorNode("n0", **kwargs), "sleep_period_ms"),
+    *((LatencyModel, f.name) for f in fields(LatencyModel)),
+])
+def test_library_constructors_reject_non_finite_values(make, name, bad):
+    # the loader rejects these too, but objects built in Python skip it
+    with pytest.raises(ConfigurationError):
+        make(**{name: bad})
+
+
 def test_ground_truth_error_names_the_field_and_value():
     with pytest.raises(ConfigurationError, match=re.escape(
             "<scenario>: ground_truth: healthy_split must be in [0, 1], got 2.0")):
@@ -208,7 +226,7 @@ def test_run_extracts_the_latency_series_once(tmp_path, monkeypatch):
         return match(self, records)
 
     monkeypatch.setattr("tiersim.summary._LatencyMatcher.match", counted)
-    monkeypatch.setattr("tiersim.engine.SINK_BATCH_RECORDS", 64)
+    monkeypatch.setattr("tiersim.summary.WRITE_CHUNK_ROWS", 64)
     run_scenario(Scenario(duration_ms=120_000.0, nodes=(NodeConfig(initial_mode="G"),)),
                  tmp_path / "out")
     records = read_trace_csv(tmp_path / "out" / "trace.csv")
@@ -256,7 +274,8 @@ def test_streamed_artifacts_match_the_whole_list_writers(tmp_path, name):
     for artifact in ("trace.csv", "trace.jsonl", "energy.csv", "latency.csv"):
         assert (streamed / artifact).read_bytes() == (whole / artifact).read_bytes(), artifact
     if name == "fleet":
-        assert len(records) > 2 * SINK_BATCH_RECORDS  # several batches and a remainder
+        # several batches and a remainder
+        assert len(records) > 2 * WRITE_CHUNK_ROWS and len(records) % WRITE_CHUNK_ROWS
 
     stored = json.loads((streamed / "summary.json").read_text())
     assert stored == summary.to_dict()
@@ -301,7 +320,8 @@ def test_cli_runtime_abort_exits_3_without_artifacts(tmp_path, monkeypatch, caps
         writes.clear()
         assert main([str(path), "--out", str(out), "--quiet"]) == 3
         assert "scheduled at" in capsys.readouterr().err
-        assert sum(writes) > SINK_BATCH_RECORDS  # rows reached the files before the abort
+        assert sum(writes) > WRITE_CHUNK_ROWS  # rows reached the files before the abort
+        assert all(n == WRITE_CHUNK_ROWS for n in writes if n)  # whole chunks, then none
     assert sorted(p.name for p in tmp_path.iterdir()) == ["abort.json", "kept"]
     assert [p.name for p in kept.iterdir()] == ["notes.txt"]
 

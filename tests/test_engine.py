@@ -20,6 +20,7 @@ from tiersim.cli import run_scenario
 from tiersim.node import LifecycleEvent, PropertyCommand, PropertyMethod
 from tiersim.oracle import TierAccuracyProfile
 from tiersim.scenario import scenario_from_dict
+from tiersim.summary import WRITE_CHUNK_ROWS
 
 S, G, C = InferenceMode.SENSOR, InferenceMode.GATEWAY, InferenceMode.CLOUD
 
@@ -441,6 +442,23 @@ def test_battery_death_is_terminal():
     assert len(dead) == 1
     after = [r for r in records if r.timestamp_ms > dead[0].timestamp_ms]
     assert after == []
+
+
+# -- sink ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows", [WRITE_CHUNK_ROWS, 1])
+def test_sink_gets_the_trace_one_write_chunk_at_a_time(monkeypatch, rows):
+    # With one row to a chunk, an event that records several rows (a
+    # prediction and the mode change it causes) spans several batches.
+    monkeypatch.setattr("tiersim.summary.WRITE_CHUNK_ROWS", rows)
+    plan = Scenario(duration_ms=1_800_000.0, seed=3,
+                    nodes=tuple(NodeConfig(f"n{i}", "SGC"[i % 3]) for i in range(4)))
+    batches = []
+    assert Simulator(plan).run(batches.append) == []
+    assert len(batches) > 2
+    assert all(len(batch) == rows for batch in batches[:-1])
+    assert len(batches[-1]) <= rows
+    assert [r for batch in batches for r in batch] == Simulator(plan).run()
 
 
 # -- determinism --------------------------------------------------------------

@@ -29,7 +29,7 @@ from tiersim import (
 )
 from tiersim.node import LifecycleEvent, PropertyCommand, PropertyMethod, TRANSITIONS
 from tiersim.oracle import TierAccuracyProfile
-from tiersim.summary import RESPONSE_KINDS, write_trace_csv
+from tiersim.summary import RESPONSE_KINDS, SummaryFold, write_trace_csv
 
 S, G, C = InferenceMode.SENSOR, InferenceMode.GATEWAY, InferenceMode.CLOUD
 TABLE = EnergyTable()
@@ -243,6 +243,10 @@ def test_trace_invariants_hold_under_random_fleets_and_commands(scenario):
             continue
         assert r.battery_pct <= levels.setdefault(r.node_id, r.battery_pct), r
         levels[r.node_id] = r.battery_pct
+    # the summary fold, which has no detail to read, keeps the same last levels
+    fold = SummaryFold(scenario)
+    fold.update(records)
+    assert fold._last_pct == levels
 
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "trace.csv"
@@ -252,4 +256,4 @@ def test_trace_invariants_hold_under_random_fleets_and_commands(scenario):
     assert len(loaded) == len(records)
     for r, back in zip(records, loaded):
         assert repr(_CSV_FIELDS(back)) == repr(_CSV_FIELDS(r)), r
-    assert summarize(loaded, scenario) == summarize(records, scenario)
+    assert summarize(loaded, scenario) == fold.result()

@@ -15,6 +15,7 @@ from tiersim import (
     LatencyModel,
     NodeConfig,
     Scenario,
+    SimEvent,
     Simulator,
     extract_latency_series,
     load_preset,
@@ -185,6 +186,17 @@ def test_total_energy_matches_ledger_within_float_reconstruction():
         assert summary.total_energy_mj == pytest.approx(sim.ledger.total_mj, rel=1e-9)
         assert sum(summary.occupancy.values()) == pytest.approx(1.0, abs=1e-9)
     assert list(summary.battery_dead_ms) == ["g"]
+
+
+def test_fold_ignores_the_level_a_tier_side_prediction_echoes():
+    # A tier serves a request after the node is back in S: its predict row
+    # carries mode S, no latency and the level attached at send time.
+    scenario = Scenario(nodes=(NodeConfig("n", battery_capacity_j=100.0),))
+    records = [
+        SimEvent(1_000.0, "n", "sample", "S", "WORKING", battery_pct=80.0),
+        SimEvent(2_000.0, "n", "predict", "S", "WORKING", "1", 1, 1, battery_pct=90.0),
+    ]
+    assert summarize(records, scenario).total_energy_mj == pytest.approx(20_000.0)
 
 
 def test_latency_series_extraction_matches_counts():
