@@ -2,31 +2,33 @@
 
 Artifacts land in the output directory as plottable CSVs plus a JSON
 summary. The run streams them: the simulator hands its trace over in
-fixed-size batches, and each batch's rows go straight to the open
-artifact files and into the summary fold, so the trace never sits whole
-in memory. The files are written into a temporary directory beside the
-output directory and moved into place only when the run completes, so a
-failed invocation (exit 2 or 3) leaves no partial files and no new
-directory; other files already in the output directory are left alone.
+fixed-size batches to a ``summary.ArtifactSink``, which writes each
+batch's rows straight to the open artifact files and folds them into
+the summary, so the trace never sits whole in memory. The files are
+written into a temporary directory beside the output directory and
+moved into place only when the run completes, so a failed invocation
+(exit 2 or 3) leaves no partial files and no new directory; other files
+already in the output directory are left alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import sys
 import tempfile
-from contextlib import ExitStack
 from pathlib import Path
 
 from .engine import Simulator
-from .model import ConfigurationError, SimEvent, SimulationError
+from .model import ConfigurationError, SimulationError
 from .scenario import PRESETS, Scenario, load_preset, load_scenario, with_overrides
-from .summary import (
+# The writers stay importable from here, as before the sink wrote through
+# them; perfbench/selftest.py checks the tracer's patching on this module.
+from .summary import (  # noqa: F401
+    ARTIFACTS,
+    ArtifactSink,
     RunSummary,
-    SummaryFold,
     write_energy_csv,
     write_latency_csv,
     write_trace_csv,
@@ -36,8 +38,6 @@ from .summary import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-ARTIFACTS = ("trace.csv", "trace.jsonl", "energy.csv", "latency.csv", "summary.json")
 
 
 def run_scenario(scenario: Scenario, out_dir: str | Path) -> RunSummary:
@@ -70,31 +70,9 @@ def run_scenario(scenario: Scenario, out_dir: str | Path) -> RunSummary:
 def _stream_run(scenario: Scenario, staging: Path) -> RunSummary:
     """Run the scenario, writing each trace batch to the artifacts in ``staging``."""
     sim = Simulator(scenario)
-    fold = SummaryFold(scenario)
-    writers = (write_trace_csv, write_trace_jsonl, write_energy_csv, write_latency_csv)
-    with ExitStack() as stack:
-        files = []
-        for write, name in zip(writers, ARTIFACTS):  # summary.json is written whole, last
-            write([], staging / name)  # a new file holding only the header
-            files.append(stack.enter_context(open(staging / name, "a", encoding="utf-8")))
-        trace_csv, trace_jsonl, energy_csv, latency_csv = files
-        entries = sim.ledger.entries
-        written = 0  # ledger entries already in energy.csv
-
-        def sink(batch: list[SimEvent]) -> None:
-            nonlocal written
-            write_trace_csv(batch, trace_csv)
-            write_trace_jsonl(batch, trace_jsonl)
-            write_energy_csv(entries[written:], energy_csv)
-            written = len(entries)
-            write_latency_csv(fold.update(batch), latency_csv)
-
+    with ArtifactSink(scenario, sim.ledger, staging) as sink:
         sim.run(sink)
-    summary = fold.result()
-    (staging / "summary.json").write_text(
-        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8",
-    )
-    return summary
+        return sink.close()
 
 
 def _print_summary(summary: RunSummary) -> None:

@@ -8,10 +8,12 @@ shortest round-trip form, which keeps re-read traces bit-identical.
 
 from __future__ import annotations
 
+import json
 import operator
 import os
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape  # the C escaper of json.dumps
@@ -19,12 +21,13 @@ from pathlib import Path
 from typing import NamedTuple, TextIO, get_args, get_type_hints
 
 from .energy import (
+    EnergyLedger,
     LedgerEntry,
     battery_life_bound,
     cycle_energy,
     energy_savings_percent,
 )
-from .model import ConfigurationError, InferenceMode, SimEvent
+from .model import ConfigurationError, InferenceMode, NodeState, SimEvent
 from .scenario import NodeConfig, Scenario
 
 #: The trace format: (column, SimEvent attribute), in SimEvent's field
@@ -46,13 +49,23 @@ TRACE_COLUMNS = tuple(column for column, _ in _TRACE_FORMAT)
 
 _kind = operator.attrgetter("kind")
 _MODES = tuple(m.value for m in InferenceMode)
+#: Each (mode, state) cell pair a trace row may hold, and the values it
+#: reads as: the enums' own strings, and None for an empty cell.
+_MODE_STATE_CELLS = {
+    (mode, state): (mode or None, state or None)
+    for mode in ("", *_MODES) for state in ("", *(s.value for s in NodeState))
+}
+
+#: The artifact set of one run, in the order ``ArtifactSink`` opens them.
+ARTIFACTS = ("trace.csv", "trace.jsonl", "energy.csv", "latency.csv", "summary.json")
 
 #: Response kinds that complete a round-trip latency measurement.
 RESPONSE_KINDS = frozenset({"response-blank", "mode-command"})
 
 #: Rows formatted into one string before it goes to the file: enough that
 #: each write is large, few enough that a batch's text is never held whole.
-WRITE_CHUNK_ROWS = 512
+#: The simulator hands an ``ArtifactSink`` batches of this many records.
+WRITE_CHUNK_ROWS = 128
 
 _ENERGY_FORMAT = (("timestamp_ms", "timestamp_ms"), ("node_id", "node_id"),
                   ("operation", "operation"), ("energy_mJ", "energy_mj"),
@@ -79,6 +92,41 @@ def _json_cell(value) -> str:
     return "null" if value is None else _escape(value) if isinstance(value, str) else repr(value)
 
 
+class _FloatText(dict):
+    """The ``repr`` of each distinct non-zero float in some columns, made once.
+
+    A zero is converted on every lookup, because ``0.0 == -0.0`` makes
+    them one key with two texts. When the columns hold a number that is
+    not a float, every value is, since ``5 == 5.0`` too. None maps to a
+    placeholder, which each line format replaces with its own null.
+    """
+
+    def __init__(self, columns: Iterable[list]) -> None:
+        distinct = set(chain.from_iterable(columns))
+        distinct.discard(None)
+        distinct.discard(0.0)  # whichever zero came first
+        if not set(map(type, distinct)) <= {float}:
+            distinct = ()
+        super().__init__(zip(distinct, map(repr, distinct)))
+        self[None] = ""
+
+    def __missing__(self, value) -> str:
+        return repr(value)
+
+
+class _Batch(list):
+    """Rows with their columns already read and the float texts they share.
+
+    ``ArtifactSink`` reads a batch's columns once for every artifact and
+    builds one ``_FloatText`` for all of them; a writer given a ``_Batch``
+    formats it as one chunk.
+    """
+
+    def __init__(self, rows: list, columns: dict[str, list], texts: _FloatText) -> None:
+        super().__init__(rows)
+        self.columns, self.texts = columns, texts
+
+
 class _LineFormat:
     """One artifact's line template, split by column, and each column's conversion.
 
@@ -89,9 +137,13 @@ class _LineFormat:
     escapes it, numbers in ``repr``, None as ``null``. Each column's
     template holds its key, and the first and last hold the braces.
 
-    An attribute's annotation gives its column's type. Text and counts
-    repeat, so each distinct value is converted once per call; a float is
-    converted every time, as -0.0 and 0.0 are equal keys with different text.
+    An attribute's annotation gives its column's type, and each column is
+    converted whole. A float's text comes from a ``_FloatText`` of the
+    chunk, which a sink's batch shares among all four artifacts, so each
+    distinct non-zero float of a chunk is converted once. A CSV text
+    cell is the value's ``str``, which for text is the value itself.
+    Counts, and text a JSON line escapes, repeat, so each distinct value
+    is converted once per call.
     """
 
     def __init__(self, record_type: type, columns, jsonl: bool = False) -> None:
@@ -106,27 +158,47 @@ class _LineFormat:
             templates = ["%s"] * len(columns)
         self._null = {None: null}.get  # _null(value, cell): None's cell, else ``cell``
         hints = get_type_hints(record_type)
-        self._columns = [
-            (template, operator.attrgetter(attr), float in (get_args(hints[attr]) or (hints[attr],)))
-            for template, (_, attr) in zip(templates, columns)
-        ]
+        self._columns = []  # (template, attribute, kind): float, str (CSV text) or None (cached)
+        for template, (_, attr) in zip(templates, columns):
+            types = get_args(hints[attr]) or (hints[attr],)
+            kind = float if float in types else str if str in types and not jsonl else None
+            self._columns.append((template, attr, kind))
+        self.attrs = tuple(attr for _, attr, _ in self._columns)
+        self.float_attrs = tuple(attr for _, attr, kind in self._columns if kind is float)
+
+    def read(self, rows: list) -> dict[str, list]:
+        """Each of this format's attributes' values over the rows, read once."""
+        return {attr: list(map(operator.attrgetter(attr), rows)) for attr in self.attrs}
 
     def _chunks(self, records: Iterable) -> Iterator[str]:
-        """The lines, ``WRITE_CHUNK_ROWS`` rows to a string, each ending with a newline."""
-        records = records if isinstance(records, list) else list(records)  # read once per column
-        columns = [(template, get, None if is_float else _Cells(template, self._cell).__getitem__)
-                   for template, get, is_float in self._columns]
+        """The lines, each ending with a newline, one string per chunk.
+
+        A chunk is ``WRITE_CHUNK_ROWS`` rows, or a whole ``_Batch``.
+        """
+        caches = {attr: _Cells(template, self._cell).__getitem__
+                  for template, attr, kind in self._columns if kind is None}
+        if isinstance(records, _Batch):
+            yield self._lines(records.columns, records.texts, caches)
+            return
+        records = records if isinstance(records, list) else list(records)
         for start in range(0, len(records), WRITE_CHUNK_ROWS):
-            chunk = records[start:start + WRITE_CHUNK_ROWS]
-            cells = []
-            for template, get, cell in columns:
-                if cell is None:  # a float column
-                    column = map(self._null, map(get, chunk), map(repr, map(get, chunk)))
-                    cells.append(column if template == "%s" else map(template.__mod__, column))
-                else:
-                    cells.append(map(cell, map(get, chunk)))
-            # the empty last line ends the chunk with a newline
-            yield "\n".join(chain(map(self._sep.join, zip(*cells)), ("",)))
+            columns = self.read(records[start:start + WRITE_CHUNK_ROWS])
+            texts = _FloatText(columns[attr] for attr in self.float_attrs)
+            yield self._lines(columns, texts, caches)
+
+    def _lines(self, columns: dict[str, list], texts: _FloatText,
+               caches: dict[str, Callable[[object], str]]) -> str:
+        null, float_text = self._null, texts.__getitem__
+        cells = []
+        for template, attr, kind in self._columns:
+            values = columns[attr]
+            if kind is None:
+                cells.append(map(caches[attr], values))
+                continue
+            column = map(null, values, map(float_text if kind is float else str, values))
+            cells.append(column if template == "%s" else map(template.__mod__, column))
+        # the empty last line ends the chunk with a newline
+        return "\n".join(chain(map(self._sep.join, zip(*cells)), ("",)))
 
     def write(self, records: Iterable, dest: str | os.PathLike | TextIO) -> None:
         """Append the lines to an open file, or write the header and lines to a new file.
@@ -161,14 +233,16 @@ def write_trace_jsonl(records: Iterable[SimEvent], dest: str | os.PathLike | Tex
 def read_trace_csv(path: str | Path) -> list[SimEvent]:
     """Read a trace back row by row; aborts with the row number on any malformed row.
 
-    A trace repeats a few node ids, kinds, states and history windows
-    across many rows, so each distinct value is kept as one shared string.
-    The table lives only for the call: ``sys.intern`` would keep every
-    history window for the life of the process. Consecutive rows often
-    repeat a timestamp (events at one instant) or a battery level (a
-    node's rows between two debits), so a row whose cell text equals the
-    previous row's shares that row's float. The key is the text, not the
-    value, which keeps ``-0.0`` apart from ``0.0``.
+    A mode cell must be S, G, C or empty and a state cell a node state or
+    empty; both read as the enums' own strings. A trace repeats a few node
+    ids, kinds and history windows across many rows, so each distinct
+    value is kept as one shared string. The table lives only for the
+    call: ``sys.intern`` would keep every history window for the life of
+    the process. Consecutive rows often repeat a timestamp (events at one
+    instant) or a battery level (a node's rows between two debits), so a
+    row whose cell text equals the previous row's shares that row's
+    float. The key is the text, not the value, which keeps ``-0.0`` apart
+    from ``0.0``.
     """
     share = {}.setdefault
     t_text = battery_text = None  # the previous row's cells, parsed as t_value, battery_value
@@ -188,9 +262,9 @@ def read_trace_csv(path: str | Path) -> list[SimEvent]:
                     t_value, t_text = float(t), t
                 if battery != battery_text:
                     battery_value, battery_text = float(battery) if battery else None, battery
+                mode_value, state_value = _MODE_STATE_CELLS[mode, state]
                 records.append(SimEvent(
-                    t_value, share(node_id, node_id), share(kind, kind), mode or None,
-                    share(state, state) if state else None,
+                    t_value, share(node_id, node_id), share(kind, kind), mode_value, state_value,
                     share(bits, bits) if bits else None,
                     int(tau) if tau else None, int(sigma) if sigma else None,
                     int(queue) if queue else None, float(latency) if latency else None,
@@ -198,6 +272,11 @@ def read_trace_csv(path: str | Path) -> list[SimEvent]:
                 ))
             except ValueError as err:
                 raise ConfigurationError(f"{path}: row {i}: {err}") from None
+            except KeyError:
+                wrong = (f"mode {mode!r} is not S, G, C or empty"
+                         if (mode, "") not in _MODE_STATE_CELLS
+                         else f"state {state!r} is not a node state or empty")
+                raise ConfigurationError(f"{path}: row {i}: {wrong}") from None
     return records
 
 
@@ -245,6 +324,10 @@ class _LatencyMatcher:
                 if not pending:
                     raise ConfigurationError(
                         f"response for {r.node_id} at {r.timestamp_ms} ms without a request"
+                    )
+                if r.latency_ms is None:
+                    raise ConfigurationError(
+                        f"response for {r.node_id} at {r.timestamp_ms} ms without a latency"
                     )
                 # Send times rise along the list, so the distance to ``sent``
                 # falls and then rises: scan back from the newest to its minimum.
@@ -393,6 +476,67 @@ def summarize(records: list[SimEvent], scenario: Scenario) -> RunSummary:
     fold = SummaryFold(scenario)
     fold.update(records)
     return fold.result()
+
+
+class ArtifactSink:
+    """The five artifacts of one run, written as the simulator hands its trace over.
+
+    Pass the sink to ``Simulator.run``. Each batch of records goes to
+    ``trace.csv`` and ``trace.jsonl``, the ledger entries debited since
+    the previous batch to ``energy.csv``, and the batch's latency samples,
+    which the summary fold returns, to ``latency.csv``. The sink reads a
+    batch's columns once and converts each distinct non-zero float in
+    them once for all four files, then writes each file through its
+    ``write_*`` function. ``close`` closes the files, writes
+    ``summary.json`` and returns the summary; leaving a ``with`` block
+    without calling it only closes the files.
+    """
+
+    def __init__(self, scenario: Scenario, ledger: EnergyLedger,
+                 directory: str | os.PathLike) -> None:
+        self._directory = Path(directory)
+        self._fold = SummaryFold(scenario)
+        self._entries, self._written = ledger.entries, 0  # entries already in energy.csv
+        with ExitStack() as stack:  # a failed open closes the files opened before it
+            self._files = []
+            for name, fmt in zip(ARTIFACTS, (_TRACE_CSV, _TRACE_JSONL, _ENERGY_CSV, _LATENCY_CSV)):
+                fh = stack.enter_context(open(self._directory / name, "w", encoding="utf-8"))
+                fh.write(fmt.header)
+                self._files.append(fh)
+            self._open = stack.pop_all()
+
+    def __call__(self, records: list[SimEvent]) -> None:
+        entries = self._entries[self._written:]
+        self._written = len(self._entries)
+        samples = self._fold.update(records)
+        trace = _TRACE_JSONL.read(records)  # every SimEvent attribute, trace.csv's among them
+        energy, latency = _ENERGY_CSV.read(entries), _LATENCY_CSV.read(samples)
+        texts = _FloatText(chain(
+            (trace[attr] for attr in _TRACE_JSONL.float_attrs),
+            (energy[attr] for attr in _ENERGY_CSV.float_attrs),
+            (latency[attr] for attr in _LATENCY_CSV.float_attrs),
+        ))
+        trace_csv, trace_jsonl, energy_csv, latency_csv = self._files
+        batch = _Batch(records, trace, texts)
+        write_trace_csv(batch, trace_csv)
+        write_trace_jsonl(batch, trace_jsonl)
+        write_energy_csv(_Batch(entries, energy, texts), energy_csv)
+        write_latency_csv(_Batch(samples, latency, texts), latency_csv)
+
+    def close(self) -> RunSummary:
+        """Close the row artifacts, then write ``summary.json``; returns the summary."""
+        self._open.close()
+        summary = self._fold.result()
+        (self._directory / ARTIFACTS[-1]).write_text(
+            json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8",
+        )
+        return summary
+
+    def __enter__(self) -> "ArtifactSink":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._open.close()
 
 
 def _fill_analytics(summary: RunSummary, scenario: Scenario) -> None:

@@ -282,6 +282,43 @@ def test_streamed_artifacts_match_the_whole_list_writers(tmp_path, name):
     assert stored == summarize(read_trace_csv(streamed / "trace.csv"), scenario).to_dict()
 
 
+def test_sink_converts_each_distinct_float_of_a_batch_once(tmp_path, monkeypatch):
+    # Every float reaches an artifact through ``repr`` in tiersim.summary. A
+    # batch's records and the ledger entries debited with them hold every
+    # float its four artifacts show. A zero is converted at each cell, since
+    # 0.0 == -0.0; this fleet's zero-length sleeps debit 0.0 mJ.
+    conversions = zeros = 0
+
+    def counted_repr(value):
+        nonlocal conversions, zeros
+        if type(value) is float:
+            conversions += value != 0.0
+            zeros += value == 0.0
+        return repr(value)
+
+    monkeypatch.setattr(tiersim.summary, "repr", counted_repr, raising=False)
+    scenario = scenario_from_dict(_fleet_document(1.0, 1_800_000.0))
+    sim = Simulator(scenario)
+    bound = debited = cells = 0
+
+    def feed(records):
+        nonlocal bound, debited, cells
+        entries = sim.ledger.entries[debited:]
+        debited = len(sim.ledger.entries)
+        floats = [v for r in records for v in (r.timestamp_ms, r.latency_ms, r.battery_pct)]
+        floats += [v for e in entries for v in (e.timestamp_ms, e.energy_mj, e.battery_pct)]
+        bound += len({v for v in floats if v})
+        cells += sum(v is not None for v in floats)
+        sink(records)
+
+    with tiersim.summary.ArtifactSink(scenario, sim.ledger, tmp_path) as sink:
+        sim.run(feed)
+        sink.close()
+    assert debited == len(sim.ledger.entries) > 0
+    assert 0 < conversions <= bound < cells
+    assert zeros > 0  # the run meets zeros, which the float table leaves out
+
+
 def test_command_from_a_tier_the_node_has_left_is_not_applied(tmp_path):
     # n0 moves G -> S while its backlog at the slow gateway is still being
     # answered; one late answer commands C, which S cannot reach directly.
@@ -308,8 +345,8 @@ def test_cli_runtime_abort_exits_3_without_artifacts(tmp_path, monkeypatch, caps
 
     monkeypatch.setitem(tiersim.engine._HANDLERS, "command-arrival", schedule_in_the_past)
     writes = []
-    write = tiersim.cli.write_trace_csv
-    monkeypatch.setattr("tiersim.cli.write_trace_csv",
+    write = tiersim.summary.write_trace_csv  # the name the artifact sink writes through
+    monkeypatch.setattr("tiersim.summary.write_trace_csv",
                         lambda records, dest: writes.append(len(records)) or write(records, dest))
     path = tmp_path / "abort.json"
     path.write_text(json.dumps(_fleet_document(1.0, 3_000_000.0)))

@@ -446,7 +446,7 @@ def test_battery_death_is_terminal():
 
 # -- sink ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("rows", [WRITE_CHUNK_ROWS, 1])
+@pytest.mark.parametrize("rows", [WRITE_CHUNK_ROWS, 4 * WRITE_CHUNK_ROWS, 1])
 def test_sink_gets_the_trace_one_write_chunk_at_a_time(monkeypatch, rows):
     # With one row to a chunk, an event that records several rows (a
     # prediction and the mode change it causes) spans several batches.

@@ -1,5 +1,6 @@
 """Cross-module invariants checked over whole simulation traces."""
 
+import json
 import math
 import operator
 import tempfile
@@ -25,11 +26,20 @@ from tiersim import (
     cycle_energy,
     extract_latency_series,
     read_trace_csv,
+    run_scenario,
     summarize,
 )
 from tiersim.node import LifecycleEvent, PropertyCommand, PropertyMethod, TRANSITIONS
 from tiersim.oracle import TierAccuracyProfile
-from tiersim.summary import RESPONSE_KINDS, SummaryFold, write_trace_csv
+from tiersim.summary import (
+    ARTIFACTS,
+    RESPONSE_KINDS,
+    SummaryFold,
+    write_energy_csv,
+    write_latency_csv,
+    write_trace_csv,
+    write_trace_jsonl,
+)
 
 S, G, C = InferenceMode.SENSOR, InferenceMode.GATEWAY, InferenceMode.CLOUD
 TABLE = EnergyTable()
@@ -257,3 +267,24 @@ def test_trace_invariants_hold_under_random_fleets_and_commands(scenario):
     for r, back in zip(records, loaded):
         assert repr(_CSV_FIELDS(back)) == repr(_CSV_FIELDS(r)), r
     assert summarize(loaded, scenario) == fold.result()
+
+
+# Ten documents keep this within Tier-1's time budget; each is run twice.
+@settings(max_examples=10, derandomize=True, database=None, deadline=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(_fuzzed_scenarios())
+def test_streamed_artifacts_match_the_whole_list_writers_under_random_fleets(scenario):
+    with tempfile.TemporaryDirectory() as out:
+        streamed, whole = Path(out, "streamed"), Path(out, "whole")
+        summary = run_scenario(scenario, streamed)
+        sim = Simulator(scenario)
+        records = sim.run()
+        whole.mkdir()
+        write_trace_csv(records, whole / "trace.csv")
+        write_trace_jsonl(records, whole / "trace.jsonl")
+        write_energy_csv(sim.ledger.entries, whole / "energy.csv")
+        write_latency_csv(extract_latency_series(records), whole / "latency.csv")
+        for name in ARTIFACTS[:4]:
+            assert (streamed / name).read_bytes() == (whole / name).read_bytes(), name
+        assert summary == summarize(records, scenario)
+        assert json.loads((streamed / "summary.json").read_text()) == summary.to_dict()

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import astuple, replace
 
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 
 from tiersim import (
     ConfigurationError,
+    InferenceMode,
     LatencyModel,
     NodeConfig,
+    NodeState,
     Scenario,
     SimEvent,
     Simulator,
@@ -62,6 +65,33 @@ def test_malformed_row_aborts_with_row_number(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError, match="row 4"):
         read_trace_csv(path)
+
+
+@pytest.mark.parametrize("mode,state,message", [
+    ("Z", "WORKING", "row 3: mode 'Z' is not S, G, C or empty"),
+    ("s", "", "row 3: mode 's' is not S, G, C or empty"),
+    ("S", "SLEEPING", "row 3: state 'SLEEPING' is not a node state or empty"),
+])
+def test_mode_or_state_cell_outside_its_values_aborts_with_row_number(tmp_path, mode, state,
+                                                                       message):
+    # summarize would otherwise meet the unknown mode as a bare KeyError
+    path = tmp_path / "trace.csv"
+    rows = ["0.0,n0,cycle-start,S,WORKING,,,,,,100.0",
+            f"5.0,n0,mode-change,{mode},{state},,,,,,99.0"]
+    path.write_text(",".join(TRACE_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        read_trace_csv(path)
+
+
+def test_mode_and_state_cells_read_as_the_enums_strings(tmp_path):
+    path = tmp_path / "trace.csv"
+    rows = ["0.0,n0,cycle-start,S,WORKING,,,,,,100.0", "1.0,n1,poll,,,,,,,,",
+            "2.0,n0,mode-change,G,IDLE,,,,,,99.0"]
+    path.write_text(",".join(TRACE_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+    records = read_trace_csv(path)
+    assert [(r.mode, r.state) for r in records] == [("S", "WORKING"), (None, None), ("G", "IDLE")]
+    assert records[0].mode is InferenceMode.SENSOR.value
+    assert records[2].state is NodeState.IDLE.value
 
 
 def test_crlf_and_missing_final_newline_read_the_same(tmp_path):
@@ -244,6 +274,14 @@ def test_timeout_does_not_retire_a_request_still_in_service():
                     for r in records if r.kind in RESPONSE_KINDS]
         offboard = [s.mode for s in extract_latency_series(records) if s.mode != "S"]
         assert offboard == answered, f"seed {seed}"
+
+
+@pytest.mark.parametrize("kind", sorted(RESPONSE_KINDS))
+def test_response_without_a_latency_is_rejected(kind):
+    records = [SimEvent(0.0, "n0", "request-send", mode="G"),
+               SimEvent(150.0, "n0", kind, mode="G")]
+    with pytest.raises(ConfigurationError, match="n0 at 150.0 ms without a latency"):
+        extract_latency_series(records)
 
 
 def test_latency_sample_is_an_immutable_row():

@@ -15,21 +15,26 @@ import math
 import os
 import struct
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from tiersim import BatteryState, run_scenario, scenario_from_dict
-from tiersim.energy import LedgerEntry
+from tiersim import (BatteryState, Scenario, extract_latency_series, run_scenario,
+                     scenario_from_dict)
+from tiersim.energy import EnergyLedger, LedgerEntry
 from tiersim.heuristics import update_history
 from tiersim.model import AnomalyTracker, SimEvent, new_tracker
 from tiersim.summary import (
+    ARTIFACTS,
     TRACE_COLUMNS,
     WRITE_CHUNK_ROWS,
+    ArtifactSink,
     LatencySample,
     write_energy_csv,
     write_latency_csv,
@@ -152,7 +157,9 @@ C = WRITE_CHUNK_ROWS
 
 
 @pytest.mark.parametrize("name", WRITERS)
-@pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 2 * C + 1])
+# around the first chunk boundary and a later one, and over many chunks
+@pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 2 * C + 1, 4 * C - 1, 4 * C, 4 * C + 1,
+                               8 * C + 1])
 def test_every_row_is_written_once_across_chunk_boundaries(tmp_path, name, n):
     write, header, batch, line = WRITERS[name]
     rows = batch(n)
@@ -160,6 +167,58 @@ def test_every_row_is_written_once_across_chunk_boundaries(tmp_path, name, n):
     assert _written(write, rows) == expected
     write(rows, tmp_path / name)
     assert (tmp_path / name).read_bytes().decode("utf-8") == header + expected
+
+
+file_texts = st.one_of(st.sampled_from(FILE_TEXT), st.text(max_size=12))
+#: Records whose latency samples the summary fold can file: every mode is a tier's.
+sink_events = st.builds(
+    SimEvent, floats, file_texts, st.sampled_from(["predict", "op", "mode-change"]) | file_texts,
+    st.sampled_from("SGC"), st.none() | file_texts, st.none() | file_texts,
+    st.none() | counts, st.none() | counts, st.none() | counts,
+    st.none() | floats, st.none() | floats, st.none() | file_texts,
+)
+sink_entries = st.builds(LedgerEntry, floats, file_texts, file_texts, floats, floats)
+
+
+def _cut(rows: list, cuts: list[float]) -> list[list]:
+    bounds = [0, *sorted(int(c * len(rows)) for c in cuts), len(rows)]
+    return [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+@EXAMPLES
+@example(records=[SimEvent(0.0, "n", "op", "S", latency_ms=-0.0, battery_pct=0.0)],
+         entries=[LedgerEntry(0.0, "n", "op", -0.0, 0.0)], cuts=[], shared=-0.0)
+@given(st.lists(sink_events, max_size=12), st.lists(sink_entries, max_size=12),
+       st.lists(st.floats(0.0, 1.0), max_size=4), floats)
+def test_sink_writes_what_the_standalone_writers_write(records, entries, cuts, shared):
+    # one value in the timestamp, latency, battery and energy columns of the first batch
+    records = [SimEvent(shared, "n", "predict", "S", latency_ms=shared, battery_pct=shared),
+               *records]
+    entries = [LedgerEntry(shared, "n", "op", shared, shared), *entries]
+    with tempfile.TemporaryDirectory() as out:
+        streamed, whole = Path(out, "streamed"), Path(out, "whole")
+        streamed.mkdir()
+        whole.mkdir()
+        ledger = EnergyLedger()
+        with ArtifactSink(Scenario(), ledger, streamed) as sink:
+            for batch, debited in zip(_cut(records, cuts), _cut(entries, cuts)):
+                ledger.entries += debited
+                sink(batch)
+            sink.close()
+        write_trace_csv(records, whole / "trace.csv")
+        write_trace_jsonl(records, whole / "trace.jsonl")
+        write_energy_csv(entries, whole / "energy.csv")
+        write_latency_csv(extract_latency_series(records), whole / "latency.csv")
+        for name in ARTIFACTS[:4]:
+            assert (streamed / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+def test_a_number_equal_to_a_float_keeps_its_own_text():
+    # 5 == 5.0 and True == 1.0 as dict keys, so neither may share a float's text
+    records = [SimEvent(5, "n", "k", latency_ms=5.0, battery_pct=True),
+               SimEvent(5.0, "n", "k", latency_ms=5, battery_pct=1.0)]
+    assert _written(write_trace_csv, records) == "".join(
+        _csv_line(astuple(r)[:len(TRACE_COLUMNS)]) for r in records)
 
 
 def _write_peak(write, rows) -> int:
