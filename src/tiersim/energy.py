@@ -9,7 +9,8 @@ is exact for piecewise-constant power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 from .model import BatteryState, ConfigurationError, InferenceMode
 
@@ -134,12 +135,25 @@ class LedgerEntry:
     battery_pct: float
 
 
-@dataclass
 class EnergyLedger:
-    """Ordered record of every energy debit in a run."""
+    """Ordered record of every energy debit in a run, one column per ``LedgerEntry`` field.
 
-    entries: list[LedgerEntry] = field(default_factory=list)
-    total_mj: float = 0.0
+    The times, energies and levels are kept as C doubles in ``array('d')``
+    columns, so a debit keeps about 40 B and no objects of its own; a
+    number read back is always a float. The node and operation columns
+    hold the strings the engine already shares.
+    """
+
+    def __init__(self) -> None:
+        self.timestamp_ms, self.node_id, self.operation = array("d"), [], []
+        self.energy_mj, self.battery_pct = array("d"), array("d")
+        self.total_mj = 0.0
+
+    @property
+    def entries(self) -> tuple[LedgerEntry, ...]:
+        """Every debit as a ``LedgerEntry``, built anew on each read."""
+        return tuple(map(LedgerEntry, self.timestamp_ms, self.node_id, self.operation,
+                         self.energy_mj, self.battery_pct))
 
     def add(
         self,
@@ -149,9 +163,11 @@ class EnergyLedger:
         energy_mj: float,
         battery_pct: float,
     ) -> None:
-        self.entries.append(
-            LedgerEntry(timestamp_ms, node_id, operation, energy_mj, battery_pct)
-        )
+        self.timestamp_ms.append(timestamp_ms)
+        self.node_id.append(node_id)
+        self.operation.append(operation)
+        self.energy_mj.append(energy_mj)
+        self.battery_pct.append(battery_pct)
         self.total_mj += energy_mj
 
 

@@ -262,8 +262,11 @@ class BatteryState:
         """Consume energy (millijoules); returns the mJ drawn.
 
         The drain that exhausts the battery clamps at capacity and draws
-        only the charge that was left, so a dead battery draws 0.0.
+        only the charge that was left, so a dead battery draws 0.0. A NaN
+        or negative draw is rejected; ``inf`` drains what is left.
         """
+        if not energy_mj >= 0:  # NaN fails every comparison; -0.0 passes
+            raise ConfigurationError(f"energy drawn must be >= 0 mJ, got {energy_mj}")
         before_j = self.consumed_j
         self.consumed_j = min(self.capacity_j, before_j + energy_mj / 1000.0)
         self._derive()

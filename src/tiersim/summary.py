@@ -12,7 +12,7 @@ import json
 import operator
 import os
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from itertools import chain
@@ -114,17 +114,19 @@ class _FloatText(dict):
         return repr(value)
 
 
-class _Batch(list):
-    """Rows with their columns already read and the float texts they share.
+class _Batch:
+    """A batch's columns, already read, and the float texts they share.
 
     ``ArtifactSink`` reads a batch's columns once for every artifact and
     builds one ``_FloatText`` for all of them; a writer given a ``_Batch``
-    formats it as one chunk.
+    formats it as one chunk. Its length is its number of rows.
     """
 
-    def __init__(self, rows: list, columns: dict[str, list], texts: _FloatText) -> None:
-        super().__init__(rows)
+    def __init__(self, columns: dict[str, Sequence], texts: _FloatText) -> None:
         self.columns, self.texts = columns, texts
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
 
 
 class _LineFormat:
@@ -186,7 +188,7 @@ class _LineFormat:
             texts = _FloatText(columns[attr] for attr in self.float_attrs)
             yield self._lines(columns, texts, caches)
 
-    def _lines(self, columns: dict[str, list], texts: _FloatText,
+    def _lines(self, columns: dict[str, Sequence], texts: _FloatText,
                caches: dict[str, Callable[[object], str]]) -> str:
         null, float_text = self._null, texts.__getitem__
         cells = []
@@ -482,21 +484,21 @@ class ArtifactSink:
     """The five artifacts of one run, written as the simulator hands its trace over.
 
     Pass the sink to ``Simulator.run``. Each batch of records goes to
-    ``trace.csv`` and ``trace.jsonl``, the ledger entries debited since
-    the previous batch to ``energy.csv``, and the batch's latency samples,
-    which the summary fold returns, to ``latency.csv``. The sink reads a
-    batch's columns once and converts each distinct non-zero float in
-    them once for all four files, then writes each file through its
-    ``write_*`` function. ``close`` closes the files, writes
-    ``summary.json`` and returns the summary; leaving a ``with`` block
-    without calling it only closes the files.
+    ``trace.csv`` and ``trace.jsonl``, the ledger's debits since the
+    previous batch, sliced from its columns, to ``energy.csv``, and the
+    batch's latency samples, which the summary fold returns, to
+    ``latency.csv``. The sink reads a batch's columns once and converts
+    each distinct non-zero float in them once for all four files, then
+    writes each file through its ``write_*`` function. ``close`` closes
+    the files, writes ``summary.json`` and returns the summary; leaving a
+    ``with`` block without calling it only closes the files.
     """
 
     def __init__(self, scenario: Scenario, ledger: EnergyLedger,
                  directory: str | os.PathLike) -> None:
         self._directory = Path(directory)
         self._fold = SummaryFold(scenario)
-        self._entries, self._written = ledger.entries, 0  # entries already in energy.csv
+        self._ledger, self._written = ledger, 0  # debits already in energy.csv
         with ExitStack() as stack:  # a failed open closes the files opened before it
             self._files = []
             for name, fmt in zip(ARTIFACTS, (_TRACE_CSV, _TRACE_JSONL, _ENERGY_CSV, _LATENCY_CSV)):
@@ -506,22 +508,24 @@ class ArtifactSink:
             self._open = stack.pop_all()
 
     def __call__(self, records: list[SimEvent]) -> None:
-        entries = self._entries[self._written:]
-        self._written = len(self._entries)
+        ledger, start = self._ledger, self._written
+        self._written = len(ledger.node_id)
         samples = self._fold.update(records)
         trace = _TRACE_JSONL.read(records)  # every SimEvent attribute, trace.csv's among them
-        energy, latency = _ENERGY_CSV.read(entries), _LATENCY_CSV.read(samples)
+        # the ledger's columns are named after the LedgerEntry fields the format shows
+        energy = {attr: getattr(ledger, attr)[start:] for attr in _ENERGY_CSV.attrs}
+        latency = _LATENCY_CSV.read(samples)
         texts = _FloatText(chain(
             (trace[attr] for attr in _TRACE_JSONL.float_attrs),
             (energy[attr] for attr in _ENERGY_CSV.float_attrs),
             (latency[attr] for attr in _LATENCY_CSV.float_attrs),
         ))
         trace_csv, trace_jsonl, energy_csv, latency_csv = self._files
-        batch = _Batch(records, trace, texts)
+        batch = _Batch(trace, texts)
         write_trace_csv(batch, trace_csv)
         write_trace_jsonl(batch, trace_jsonl)
-        write_energy_csv(_Batch(entries, energy, texts), energy_csv)
-        write_latency_csv(_Batch(samples, latency, texts), latency_csv)
+        write_energy_csv(_Batch(energy, texts), energy_csv)
+        write_latency_csv(_Batch(latency, texts), latency_csv)
 
     def close(self) -> RunSummary:
         """Close the row artifacts, then write ``summary.json``; returns the summary."""

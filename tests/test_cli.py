@@ -282,6 +282,28 @@ def test_streamed_artifacts_match_the_whole_list_writers(tmp_path, name):
     assert stored == summarize(read_trace_csv(streamed / "trace.csv"), scenario).to_dict()
 
 
+def test_sink_fed_by_two_run_until_calls_writes_what_one_run_writes(tmp_path):
+    # the second call's first energy.csv row is the first debit after the
+    # first call's last batch: the sink keeps its ledger offset across calls
+    scenario = scenario_from_dict(_fleet_document(1.0, 1_800_000.0))
+    once, split = tmp_path / "once", tmp_path / "split"
+    once.mkdir()
+    split.mkdir()
+    sim = Simulator(scenario)
+    with tiersim.summary.ArtifactSink(scenario, sim.ledger, once) as sink:
+        sim.run(sink)
+        sink.close()
+    sim = Simulator(scenario)
+    with tiersim.summary.ArtifactSink(scenario, sim.ledger, split) as sink:
+        sim.run_until(scenario.duration_ms / 3, sink)
+        debited = len(sim.ledger.entries)
+        sim.run(sink)
+        sink.close()
+    assert 0 < debited < len(sim.ledger.entries)
+    for name in tiersim.summary.ARTIFACTS:
+        assert (split / name).read_bytes() == (once / name).read_bytes(), name
+
+
 def test_sink_converts_each_distinct_float_of_a_batch_once(tmp_path, monkeypatch):
     # Every float reaches an artifact through ``repr`` in tiersim.summary. A
     # batch's records and the ledger entries debited with them hold every
@@ -299,22 +321,23 @@ def test_sink_converts_each_distinct_float_of_a_batch_once(tmp_path, monkeypatch
     monkeypatch.setattr(tiersim.summary, "repr", counted_repr, raising=False)
     scenario = scenario_from_dict(_fleet_document(1.0, 1_800_000.0))
     sim = Simulator(scenario)
+    ledger = sim.ledger
     bound = debited = cells = 0
 
     def feed(records):
         nonlocal bound, debited, cells
-        entries = sim.ledger.entries[debited:]
-        debited = len(sim.ledger.entries)
+        start, debited = debited, len(ledger.node_id)
         floats = [v for r in records for v in (r.timestamp_ms, r.latency_ms, r.battery_pct)]
-        floats += [v for e in entries for v in (e.timestamp_ms, e.energy_mj, e.battery_pct)]
+        floats += [v for column in (ledger.timestamp_ms, ledger.energy_mj, ledger.battery_pct)
+                   for v in column[start:debited]]
         bound += len({v for v in floats if v})
         cells += sum(v is not None for v in floats)
         sink(records)
 
-    with tiersim.summary.ArtifactSink(scenario, sim.ledger, tmp_path) as sink:
+    with tiersim.summary.ArtifactSink(scenario, ledger, tmp_path) as sink:
         sim.run(feed)
         sink.close()
-    assert debited == len(sim.ledger.entries) > 0
+    assert debited == len(ledger.entries) > 0
     assert 0 < conversions <= bound < cells
     assert zeros > 0  # the run meets zeros, which the float table leaves out
 

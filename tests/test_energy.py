@@ -1,6 +1,8 @@
 """Tests for the energy model: cycle arithmetic, bounds, ledger."""
 
 import math
+import sys
+import tracemalloc
 
 import pytest
 
@@ -17,7 +19,7 @@ from tiersim import (
     debit_sleep,
     energy_savings_percent,
 )
-from tiersim.energy import OperationCost
+from tiersim.energy import LedgerEntry, OperationCost
 
 S, G, C = InferenceMode.SENSOR, InferenceMode.GATEWAY, InferenceMode.CLOUD
 TABLE = EnergyTable()
@@ -119,7 +121,66 @@ def test_debit_dead_battery_is_noop():
     battery = BatteryState(capacity_j=1.0, consumed_j=1.0)
     ledger = EnergyLedger()
     assert debit(battery, ledger, "sampling", TABLE.sampling.energy_mj, 0.0, "n0") == 0.0
-    assert ledger.entries == [] and battery.dead
+    assert ledger.entries == () and battery.dead
+
+
+@pytest.mark.parametrize("energy_mj", [math.nan, -5.0])
+def test_debit_rejects_nan_and_negative_energy(energy_mj):
+    # a NaN once emptied a fresh battery and booked 18,648,000 mJ; -5 mJ
+    # drove consumed_j below 0
+    battery = BatteryState()
+    ledger = EnergyLedger()
+    with pytest.raises(ConfigurationError, match="energy drawn must be >= 0 mJ"):
+        debit(battery, ledger, "x", energy_mj, 0.0, "n")
+    assert battery.consumed_j == 0.0 and battery.level_pct == 100.0
+    assert ledger.entries == () and ledger.total_mj == 0.0
+
+
+def test_debit_of_infinite_energy_drains_what_is_left():
+    # a sleep period near the float maximum overflows the sleep energy to inf
+    battery = BatteryState(capacity_j=10.0, consumed_j=4.0)
+    ledger = EnergyLedger()
+    assert TABLE.sleep_energy_mj(sys.float_info.max) == math.inf
+    assert debit_sleep(battery, ledger, sys.float_info.max, TABLE) == 6_000.0
+    assert battery.dead and battery.consumed_j == 10.0
+    assert [e.energy_mj for e in ledger.entries] == [6_000.0] and ledger.total_mj == 6_000.0
+
+
+def test_debit_of_negative_zero_keeps_its_sign():
+    battery = BatteryState()
+    ledger = EnergyLedger()
+    debited = debit(battery, ledger, "deep_sleep", -0.0, 0.0, "n")
+    assert math.copysign(1.0, debited) == -1.0
+    assert math.copysign(1.0, ledger.entries[0].energy_mj) == -1.0
+    assert battery.consumed_j == 0.0 and not battery.dead
+
+
+def test_ledger_keeps_at_most_48_bytes_per_debit():
+    # each debit's time and level are fresh floats, as in a run; the
+    # columns keep their values, not the float objects
+    ledger = EnergyLedger()
+    debits = 50_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(debits):
+            ledger.add(i * 10.5, "n0", "sampling", 2_000.0, 100.0 - i * 1e-4)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ledger.entries) == debits
+    assert grown / debits <= 48
+
+
+def test_ledger_entries_are_rebuilt_from_the_columns_on_each_read():
+    ledger = EnergyLedger()
+    ledger.add(1.0, "n0", "sampling", 2.0, 99.5)
+    first = ledger.entries
+    ledger.add(2.0, "n1", "radio_tx", 3.0, 98.0)
+    assert first == (LedgerEntry(1.0, "n0", "sampling", 2.0, 99.5),)
+    assert ledger.entries == (*first, LedgerEntry(2.0, "n1", "radio_tx", 3.0, 98.0))
+    assert ledger.entries[0] is not first[0]
+    assert ledger.total_mj == 5.0
 
 
 def test_thousand_radio_debits_leave_battery_alive():

@@ -202,7 +202,8 @@ def test_sink_writes_what_the_standalone_writers_write(records, entries, cuts, s
         ledger = EnergyLedger()
         with ArtifactSink(Scenario(), ledger, streamed) as sink:
             for batch, debited in zip(_cut(records, cuts), _cut(entries, cuts)):
-                ledger.entries += debited
+                for entry in debited:
+                    ledger.add(*astuple(entry))
                 sink(batch)
             sink.close()
         write_trace_csv(records, whole / "trace.csv")
