@@ -92,7 +92,10 @@ GATEWAY_ID = "gateway-0"
 
 @dataclass
 class Gateway(Tier):
-    """The gateway tier, which also holds pending node commands and its device properties."""
+    """The gateway tier, which also holds pending node commands and its device properties.
+
+    A node's command outbox is made when the first command for it arrives.
+    """
 
     pending_commands: dict[str, deque[PropertyCommand]] = field(default_factory=dict)
     provisioned_nodes: list[str] = field(default_factory=list)
@@ -145,9 +148,10 @@ class Simulator:
             cloud: Tier(cloud, depth(cloud), latency.constant(cloud), latency.jitter(cloud),
                         scenario.cloud_service_ms),
         }
+        # Per-node streams, each derived on first use from its own labels:
+        # a node's truth process and prediction count on its first prediction.
         self._truth: dict[str, GroundTruthProcess] = {}
         self._pred_step: dict[str, int] = {}
-        # Per-node streams, each derived on first use from its own labels.
         self._rngs: dict[tuple[str, str], random.Random] = {}
         self._dead_reported: set[str] = set()
 
@@ -164,16 +168,8 @@ class Simulator:
             sleep_period_ms=cfg.sleep_period_ms,
         )
         self.nodes[cfg.node_id] = node
-        for tier in self.tiers.values():
+        for tier in self.tiers.values():  # one shared empty window per depth
             tier.trackers[cfg.node_id] = new_tracker(tier.depth)
-        self.gateway.pending_commands[cfg.node_id] = deque()
-        self._truth[cfg.node_id] = GroundTruthProcess(
-            seed=derive_seed(self.scenario.seed, cfg.node_id, "truth"),
-            anomaly_probability=self.scenario.anomaly_probability,
-            healthy_split=self.scenario.healthy_split,
-            degraded_split=self.scenario.degraded_split,
-        )
-        self._pred_step[cfg.node_id] = 0
         stage_ms = self.scenario.provisioning_stage_ms
         for i in range(len(PROVISIONING_STAGES)):
             self.schedule(stage_ms * (i + 1), "provision-stage", cfg.node_id, i)
@@ -353,7 +349,12 @@ class Simulator:
     def _predict(self, tier: Tier, node_id: str
                  ) -> tuple[AnomalyTracker, ConditionLabel, ConditionLabel]:
         """One prediction at ``tier``: ground truth, the tier's label, its window's new bit."""
-        step = self._pred_step[node_id]
+        step = self._pred_step.get(node_id)
+        if step is None:
+            step, scenario = 0, self.scenario
+            self._truth[node_id] = GroundTruthProcess(
+                derive_seed(scenario.seed, node_id, "truth"), scenario.anomaly_probability,
+                scenario.healthy_split, scenario.degraded_split)
         self._pred_step[node_id] = step + 1
         truth = draw_ground_truth(self._truth[node_id], step)
         oracle = tier.oracles.get(node_id)
@@ -494,13 +495,13 @@ class Simulator:
             self._record(None, "command-dropped", node_id=cmd.node_id,
                          detail="command for unknown node")
             return
-        self.gateway.pending_commands[cmd.node_id].append(cmd)
+        self.gateway.pending_commands.setdefault(cmd.node_id, deque()).append(cmd)
         self._record(node, "command-queued", detail=f"{cmd.method.value} {cmd.name}")
         if node.state is not NodeState.WORKING:
             self._deliver_pending_commands(node)
 
     def _deliver_pending_commands(self, node: SensorNode) -> None:
-        pending = self.gateway.pending_commands[node.node_id]
+        pending = self.gateway.pending_commands.get(node.node_id)
         while pending:
             cmd = pending.popleft()
             before = node.mode
@@ -527,7 +528,7 @@ class Simulator:
 
     def _on_poll(self, node_id: str, data: None) -> None:
         node = self.nodes[node_id]
-        pending = self.gateway.pending_commands[node.node_id]
+        pending = self.gateway.pending_commands.get(node_id)
         radio = self.table.radio_tx
         if pending:
             duration = radio.duration_ms

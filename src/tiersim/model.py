@@ -9,7 +9,9 @@ is constructors plus validation.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 MAX_HISTORY_DEPTH = 64  # history must fit one machine word
@@ -68,19 +70,21 @@ class ConditionLabel(enum.IntEnum):
     UNACCEPTABLE = 3
 
 
-def check_node_id(node_id: str) -> None:
-    """The rule for every node id, a node's or a command's: it names CSV rows.
+#: A comma or line break would split a CSV row; a surrogate cannot be
+#: encoded as UTF-8, although JSON can spell a lone one.
+_BAD_NODE_ID_CHAR = re.compile("[,\r\n\ud800-\udfff]")
 
-    A surrogate cannot be encoded as UTF-8, although JSON can spell a lone one.
-    """
-    if not node_id or any(c in ",\r\n" or "\ud800" <= c <= "\udfff" for c in node_id):
+
+def check_node_id(node_id: str) -> None:
+    """The rule for every node id, a node's or a command's: it names CSV rows."""
+    if not node_id or _BAD_NODE_ID_CHAR.search(node_id):
         raise ConfigurationError(
             f"node id {node_id!r} must be non-empty, free of commas/newlines and "
             "encodable as UTF-8 (it names CSV rows)"
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnomalyTracker:
     """Fixed-depth bitmask of the most recent binary anomaly predictions.
 
@@ -113,8 +117,12 @@ class AnomalyTracker:
         return self.length >= self.depth
 
 
+@functools.cache
 def new_tracker(depth: int) -> AnomalyTracker:
-    """Create an empty anomaly tracker of the given depth (1..64)."""
+    """The empty anomaly tracker of the given depth (1..64).
+
+    A tracker is frozen, so one empty tracker per depth serves every caller.
+    """
     return AnomalyTracker(bits=0, length=0, depth=depth)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 from dataclasses import dataclass
 
 from .model import ConditionLabel, ConfigurationError, InferenceMode
@@ -33,9 +34,7 @@ def _counter_uniforms(seed: int, counter: int, n: int = 2) -> tuple[float, ...]:
     digest = hashlib.blake2b(
         f"{seed}|{counter}".encode("utf-8"), digest_size=8 * n
     ).digest()
-    return tuple(
-        int.from_bytes(digest[8 * i : 8 * (i + 1)], "big") / 2**64 for i in range(n)
-    )
+    return tuple([word / 2**64 for word in struct.unpack(f">{n}Q", digest)])
 
 
 @dataclass(frozen=True)

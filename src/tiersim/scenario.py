@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 import types
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -70,9 +71,10 @@ class Scenario:
     duration_ms: float = 1_800_000.0  # 30 simulated minutes
     seed: int = 7
     nodes: tuple[NodeConfig, ...] = (NodeConfig(),)
-    params: HeuristicParams = field(default_factory=HeuristicParams)
-    energy: EnergyTable = field(default_factory=EnergyTable)
-    latency: LatencyModel = field(default_factory=LatencyModel)
+    # frozen, so every scenario that keeps a default shares one instance
+    params: HeuristicParams = HeuristicParams()
+    energy: EnergyTable = EnergyTable()
+    latency: LatencyModel = LatencyModel()
     profiles: dict[InferenceMode, TierAccuracyProfile] = field(
         default_factory=lambda: dict(DEFAULT_PROFILES)
     )
@@ -98,6 +100,12 @@ class Scenario:
             raise ConfigurationError(
                 f"duration_ms must be finite and >= 0, got {self.duration_ms}"
             )
+        try:  # every stream's seed is derived from the seed's decimal text
+            str(self.seed)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise _EntryError(
+                "seed", f"seed has more than {sys.get_int_max_str_digits()} decimal digits"
+            ) from None
         seen = set()
         for i, cfg in enumerate(self.nodes):
             if cfg.node_id in seen:
@@ -189,31 +197,49 @@ def _method(value, *_) -> PropertyMethod:
         raise ValueError(f"unknown property method {value!r}") from None
 
 
-#: Coercers of the scalar field types; each takes (value, source, path).
+#: Coercers of the scalar field types; each takes (value, source, path, key).
 _SCALARS = {float: _float, int: _int, bool: _exact(bool, "true or false"),
             str: _exact(str, "a string"), object: lambda value, *_: value,
             PropertyMethod: _method}
 
 
+def _where(path: str, key: str | int) -> str:
+    """The JSON path of member ``key`` of the object or list found at ``path``."""
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
 def _coercer(tp, f):
-    """How a JSON value becomes field ``f`` of type ``tp``; None if it has no JSON form."""
-    if is_dataclass(tp):
+    """How a JSON value becomes field ``f`` of type ``tp``; None if it has no JSON form.
+
+    A coercer takes (value, source, path, key), the value being member
+    ``key`` of the object or list at ``path``; only a coercer that loads
+    an object spells out the value's own path.
+    """
+    if is_dataclass(tp):  # a frozen default is the base the document's keys merge onto
         base = f.default if isinstance(f.default, tp) else None
-        return lambda value, source, path: _load(tp, value, source, path, base)
+        return lambda value, source, path, key: _load(tp, value, source, _where(path, key), base)
     origin, args = get_origin(tp), get_args(tp)
     if origin is types.UnionType:  # X | None
         item = _coercer(args[0], f)
-        return lambda value, source, path: None if value is None else item(value, source, path)
+        return lambda value, *at: None if value is None else item(value, *at)
     if origin is tuple:
         item, start = _coercer(args[0], f), _ENTRY_DEFAULTS.get(args[0])
-        return lambda value, source, path: tuple(
-            item({**start(i), **v} if start and isinstance(v, dict) else v, source, f"{path}[{i}]")
-            for i, v in enumerate(value))
+
+        def entries(value, source, path, key):
+            where = _where(path, key)
+            return tuple(
+                item({**start(i), **v} if start and isinstance(v, dict) else v, source, where, i)
+                for i, v in enumerate(value))
+        return entries
     if origin is dict:  # an object keyed by enum value; each entry merges onto its default
         defaults = f.default_factory()
-        table = {k.value: (k, lambda value, source, path, base=defaults[k]:
-                           _load(args[1], value, source, path, base)) for k in args[0]}
-        return lambda value, source, path: _collect(table, value, source, path, dict(defaults))
+        table = {k.value: (k, lambda value, source, path, key, base=defaults[k]:
+                           _load(args[1], value, source, _where(path, key), base))
+                 for k in args[0]}
+        return lambda value, source, path, key: _collect(
+            table, value, source, _where(path, key), dict(defaults))
     return _SCALARS.get(tp)
 
 
@@ -236,22 +262,21 @@ def _collect(table: dict, raw, source: str, path: str, kwargs: dict) -> dict:
     """Coerce the keys of the JSON object ``raw`` by ``table`` into ``kwargs``."""
     if not isinstance(raw, dict):
         raise _LocatedError(source, path, f"expected a JSON object, got {type(raw).__name__}")
-    unknown = raw.keys() - table.keys()
-    if unknown:
-        raise _LocatedError(source, path, f"unknown field(s) {sorted(unknown)} (check spelling)")
+    if not raw.keys() <= table.keys():
+        unknown = sorted(raw.keys() - table.keys())
+        raise _LocatedError(source, path, f"unknown field(s) {unknown} (check spelling)")
     for key, value in raw.items():
         entry = table[key]
-        where = f"{path}.{key}" if path else key
         if isinstance(entry, dict):  # a group object: its keys are fields of this class
-            _collect(entry, value, source, where, kwargs)
+            _collect(entry, value, source, _where(path, key), kwargs)
             continue
         name, coerce = entry
         try:
-            kwargs[name] = coerce(value, source, where)
+            kwargs[name] = coerce(value, source, path, key)
         except _LocatedError:
             raise
         except (TypeError, ValueError, OverflowError) as err:  # int(inf), float(10**400)
-            raise _LocatedError(source, where, err) from None
+            raise _LocatedError(source, _where(path, key), err) from None
     return kwargs
 
 
@@ -288,6 +313,9 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigurationError(
             f"{path}:{err.lineno}:{err.colno}: invalid JSON: {err.msg}"
         ) from None
+    except (ValueError, RecursionError) as err:
+        # an integer past sys.get_int_max_str_digits(), or nesting past the recursion limit
+        raise ConfigurationError(f"{path}: invalid JSON: {err}") from None
     return scenario_from_dict(data, source=str(path))
 
 

@@ -15,6 +15,7 @@ import tiersim.engine
 import tiersim.summary
 from tiersim import (
     ConfigurationError,
+    HeuristicParams,
     InferenceMode,
     LatencyModel,
     NodeConfig,
@@ -100,6 +101,55 @@ def test_parse_error_carries_line_and_column(tmp_path):
     path.write_text('{\n  "duration_ms": \n}\n')
     with pytest.raises(ConfigurationError, match=r"broken\.json:\d+:\d+"):
         load_scenario(path)
+
+
+def _int_digit_limit() -> int:
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("integer string conversion is unlimited in this interpreter")
+    return limit
+
+
+@pytest.mark.parametrize("text", [
+    lambda limit: '{"seed": ' + "9" * (limit + 1) + ', "duration_ms": 1000}',
+    lambda limit: '{"name": ' + "[" * 100_000 + "]" * 100_000 + "}",  # past the recursion limit
+], ids=["long-integer", "deep-nesting"])
+def test_json_the_parser_cannot_hold_exits_2_naming_the_file(tmp_path, capsys, text):
+    path = tmp_path / "huge.json"
+    path.write_text(text(_int_digit_limit()))
+    assert main([str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    assert "huge.json: invalid JSON: " in capsys.readouterr().err
+
+
+def test_seed_past_the_int_digit_limit_is_rejected_at_load():
+    too_long = 10 ** _int_digit_limit()  # one digit more than str() may spell
+    with pytest.raises(ConfigurationError, match=r"^<scenario>: seed: seed has more than "):
+        scenario_from_dict({"seed": too_long})
+    with pytest.raises(ConfigurationError, match=r"^seed has more than "):
+        Scenario(seed=-too_long)
+
+
+def test_seeds_within_the_int_digit_limit_load_and_run():
+    longest = 10 ** _int_digit_limit() - 1
+    for seed in (-7, 2**64 + 3, 1e300, -1e300, longest, -longest):
+        scenario = scenario_from_dict({"seed": seed, "duration_ms": 12_000})
+        assert scenario.seed == int(seed)
+        assert any(r.kind == "predict" for r in Simulator(scenario).run())
+
+
+def test_documents_merge_onto_shared_frozen_defaults_without_changing_them():
+    defaults = Scenario()
+    a = scenario_from_dict({"heuristics": {"queue_limit": 2}, "latency": {"cloud_ms": 700.0}})
+    b = scenario_from_dict({"heuristics": {"low_battery_pct": 30.0}})
+    assert (a.params.queue_limit, a.params.low_battery_pct) == (2, 20.0)
+    assert (b.params.queue_limit, b.params.low_battery_pct) == (4, 30.0)
+    assert (a.latency.cloud_ms, b.latency.cloud_ms) == (700.0, 641.71)
+    assert b.latency is defaults.latency and b.energy is defaults.energy
+    assert Scenario().params is defaults.params
+    assert defaults.params == HeuristicParams()
+    assert defaults.latency.cloud_ms == 641.71
+    assert Scenario() == defaults
 
 
 def test_invalid_values_rejected():

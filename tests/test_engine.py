@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import tracemalloc
 import weakref
 
 import pytest
@@ -15,6 +16,7 @@ from tiersim import (
     Scenario,
     SimulationError,
     Simulator,
+    new_tracker,
 )
 from tiersim.cli import run_scenario
 from tiersim.node import LifecycleEvent, PropertyCommand, PropertyMethod
@@ -257,6 +259,43 @@ def test_tracker_isolation_across_nodes():
         sim._handle_prediction(sim.gateway, "a", 700.0, 99.0)
     assert sim.gateway.trackers["b"] == before
     assert sim.gateway.trackers["a"].length == 10
+
+
+def test_a_mode_change_leaves_other_nodes_on_the_shared_empty_window():
+    # the command reaches "a" before it works, so it is applied at once
+    plan = scenario(
+        nodes=(NodeConfig(node_id="a"), NodeConfig(node_id="b")), adaptive=False,
+        commands=(PropertyCommand("a", "inference_mode", PropertyMethod.SET, "G"),),
+    )
+    sim = Simulator(plan)
+    records = sim.run()
+    assert [r.detail for r in kinds_for(records, "a", "mode-change")] == ["operator"]
+    at_gateway = [r for r in kinds_for(records, "a", "predict") if "tier=G" in r.detail]
+    assert len(at_gateway) >= 3
+    gateway = sim.gateway
+    assert gateway.trackers["a"].length == min(len(at_gateway), gateway.depth)
+    assert gateway.trackers["b"] is new_tracker(gateway.depth)  # the one shared empty window
+    assert gateway.trackers["b"].length == 0
+    for tier in sim.tiers.values():
+        empty = new_tracker(tier.depth)
+        assert (empty.bits, empty.length, empty.depth) == (0, 0, tier.depth)
+
+
+def test_construction_keeps_under_1500_bytes_per_node():
+    # windows are shared; the truth process and the outbox wait for first use
+    def traced_bytes(nodes: int) -> int:
+        plan = scenario(nodes=tuple(NodeConfig(node_id=f"n{i}") for i in range(nodes)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sim = Simulator(plan)
+            assert len(sim.nodes) == nodes
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    per_node = (traced_bytes(1_000) - traced_bytes(10)) / 990
+    assert per_node < 1_500
 
 
 def test_gateway_queue_counts_enqueued_minus_serviced():

@@ -1,5 +1,7 @@
 """Tests for the shared domain value types."""
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -35,6 +37,14 @@ def test_tracker_rejects_inconsistent_fields():
         AnomalyTracker(bits=0, length=9, depth=8)  # length beyond depth
     with pytest.raises(ConfigurationError):
         AnomalyTracker(bits=0b100, length=2, depth=8)  # stale bit beyond length
+
+
+@pytest.mark.parametrize("name", ["bits", "length", "depth"])
+def test_tracker_is_frozen_so_empty_windows_can_be_shared(name):
+    tracker = new_tracker(8)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(tracker, name, 1)
+    assert (tracker.bits, tracker.length, tracker.depth) == (0, 0, 8)
 
 
 def test_mode_parse():

@@ -1,5 +1,7 @@
 """Tests for the sensor node: state machine, properties, cycle planning."""
 
+from collections import deque
+
 import pytest
 
 from tiersim import (
@@ -122,7 +124,7 @@ def delivered_mode_set(mode: str):
         window = update_history(window, bit, True)
     sim.tiers[S].trackers["node-0"] = window
     assert window.length == 4
-    sim.gateway.pending_commands["node-0"].append(
+    sim.gateway.pending_commands.setdefault("node-0", deque()).append(
         PropertyCommand("node-0", "inference_mode", PropertyMethod.SET, mode))
     sim._deliver_pending_commands(node)
     return sim, node

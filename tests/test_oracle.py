@@ -1,5 +1,6 @@
 """Tests for the stochastic classifier stand-in."""
 
+import hashlib
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from tiersim import (
     draw_ground_truth,
     predict_label,
 )
-from tiersim.oracle import derive_seed
+from tiersim.oracle import _counter_uniforms, derive_seed
 
 S, G, C = InferenceMode.SENSOR, InferenceMode.GATEWAY, InferenceMode.CLOUD
 ANOMALOUS = {ConditionLabel.UNSATISFACTORY, ConditionLabel.UNACCEPTABLE}
@@ -24,6 +25,19 @@ def test_derive_seed_is_stable_and_label_sensitive():
     assert derive_seed(1, "node-0", "truth") == derive_seed(1, "node-0", "truth")
     assert derive_seed(1, "node-0", "truth") != derive_seed(1, "node-1", "truth")
     assert derive_seed(1, "node-0", "truth") != derive_seed(2, "node-0", "truth")
+
+
+@pytest.mark.parametrize("seed", [0, -987_654_321, 2**64 + 12_345])
+def test_counter_uniforms_equal_the_sliced_digest_formula(seed):
+    def sliced(seed: int, counter: int, n: int = 2) -> tuple[float, ...]:
+        digest = hashlib.blake2b(f"{seed}|{counter}".encode("utf-8"), digest_size=8 * n).digest()
+        return tuple(int.from_bytes(digest[8 * i : 8 * (i + 1)], "big") / 2**64
+                     for i in range(n))
+
+    counters = range(100_000)
+    assert [_counter_uniforms(seed, c) for c in counters] == [sliced(seed, c) for c in counters]
+    for n in (1, 3, 8):
+        assert _counter_uniforms(seed, 7, n) == sliced(seed, 7, n)
 
 
 def test_ground_truth_degenerate_probabilities():
