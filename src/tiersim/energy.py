@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .model import BatteryState, ConfigurationError, InferenceMode
@@ -136,24 +137,51 @@ class LedgerEntry:
 
 
 class EnergyLedger:
-    """Ordered record of every energy debit in a run, one column per ``LedgerEntry`` field.
+    """Ordered record of every energy debit in a run, about 21 B a debit.
 
-    The times, energies and levels are kept as C doubles in ``array('d')``
-    columns, so a debit keeps about 40 B and no objects of its own; a
-    number read back is always a float. The node and operation columns
-    hold the strings the engine already shares.
+    A debit's time and level are kept as C doubles in ``array('d')``
+    columns. Its node, operation and energy repeat across a run, so the
+    ledger keeps each distinct ``(node_id, operation, energy_mj)`` triple
+    once, in the order first debited, and a debit keeps only its
+    triple's index in an ``array('I')``. The key that finds a triple's
+    index adds the energy's sign, which keeps ``-0.0`` apart from
+    ``0.0``; ``2`` and ``2.0`` share a triple, whose energy is stored as
+    ``float(energy_mj)``, so a number read back is always a float.
+
+    ``len(ledger)`` counts the debits, ``columns(start)`` reads each
+    field from a given debit on, and ``entries`` builds every debit as a
+    ``LedgerEntry``.
     """
 
     def __init__(self) -> None:
-        self.timestamp_ms, self.node_id, self.operation = array("d"), [], []
-        self.energy_mj, self.battery_pct = array("d"), array("d")
+        self._timestamp_ms, self._battery_pct = array("d"), array("d")
+        self._triple_of = array("I")  # each debit's index into the triple table
+        self._index = {}  # (node_id, operation, energy_mj, its sign) -> triple index
+        self._node_ids, self._operations, self._energies = [], [], []  # the triple table
         self.total_mj = 0.0
+
+    def __len__(self) -> int:
+        return len(self._triple_of)
+
+    def columns(self, start: int = 0) -> dict[str, Sequence]:
+        """Each ``LedgerEntry`` field's values from debit ``start`` on, by field name.
+
+        The fields come in ``LedgerEntry`` order. Times and levels are
+        ``array('d')`` slices, the other fields lists.
+        """
+        triples = self._triple_of[start:]
+        return {
+            "timestamp_ms": self._timestamp_ms[start:],
+            "node_id": list(map(self._node_ids.__getitem__, triples)),
+            "operation": list(map(self._operations.__getitem__, triples)),
+            "energy_mj": list(map(self._energies.__getitem__, triples)),
+            "battery_pct": self._battery_pct[start:],
+        }
 
     @property
     def entries(self) -> tuple[LedgerEntry, ...]:
         """Every debit as a ``LedgerEntry``, built anew on each read."""
-        return tuple(map(LedgerEntry, self.timestamp_ms, self.node_id, self.operation,
-                         self.energy_mj, self.battery_pct))
+        return tuple(map(LedgerEntry, *self.columns().values()))
 
     def add(
         self,
@@ -163,11 +191,16 @@ class EnergyLedger:
         energy_mj: float,
         battery_pct: float,
     ) -> None:
-        self.timestamp_ms.append(timestamp_ms)
-        self.node_id.append(node_id)
-        self.operation.append(operation)
-        self.energy_mj.append(energy_mj)
-        self.battery_pct.append(battery_pct)
+        key = (node_id, operation, energy_mj, math.copysign(1.0, energy_mj))
+        index = self._index.get(key)
+        if index is None:
+            index = self._index[key] = len(self._energies)
+            self._node_ids.append(node_id)
+            self._operations.append(operation)
+            self._energies.append(float(energy_mj))
+        self._timestamp_ms.append(timestamp_ms)
+        self._triple_of.append(index)
+        self._battery_pct.append(battery_pct)
         self.total_mj += energy_mj
 
 

@@ -119,14 +119,11 @@ class _Batch:
 
     ``ArtifactSink`` reads a batch's columns once for every artifact and
     builds one ``_FloatText`` for all of them; a writer given a ``_Batch``
-    formats it as one chunk. Its length is its number of rows.
+    formats it as one chunk.
     """
 
     def __init__(self, columns: dict[str, Sequence], texts: _FloatText) -> None:
         self.columns, self.texts = columns, texts
-
-    def __len__(self) -> int:
-        return len(next(iter(self.columns.values())))
 
 
 class _LineFormat:
@@ -485,8 +482,8 @@ class ArtifactSink:
 
     Pass the sink to ``Simulator.run``. Each batch of records goes to
     ``trace.csv`` and ``trace.jsonl``, the ledger's debits since the
-    previous batch, sliced from its columns, to ``energy.csv``, and the
-    batch's latency samples, which the summary fold returns, to
+    previous batch, read with ``EnergyLedger.columns``, to ``energy.csv``,
+    and the batch's latency samples, which the summary fold returns, to
     ``latency.csv``. The sink reads a batch's columns once and converts
     each distinct non-zero float in them once for all four files, then
     writes each file through its ``write_*`` function. ``close`` closes
@@ -509,11 +506,10 @@ class ArtifactSink:
 
     def __call__(self, records: list[SimEvent]) -> None:
         ledger, start = self._ledger, self._written
-        self._written = len(ledger.node_id)
+        self._written = len(ledger)
         samples = self._fold.update(records)
         trace = _TRACE_JSONL.read(records)  # every SimEvent attribute, trace.csv's among them
-        # the ledger's columns are named after the LedgerEntry fields the format shows
-        energy = {attr: getattr(ledger, attr)[start:] for attr in _ENERGY_CSV.attrs}
+        energy = ledger.columns(start)  # keyed by the LedgerEntry fields the format shows
         latency = _LATENCY_CSV.read(samples)
         texts = _FloatText(chain(
             (trace[attr] for attr in _TRACE_JSONL.float_attrs),

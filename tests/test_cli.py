@@ -376,10 +376,11 @@ def test_sink_converts_each_distinct_float_of_a_batch_once(tmp_path, monkeypatch
 
     def feed(records):
         nonlocal bound, debited, cells
-        start, debited = debited, len(ledger.node_id)
+        start, debited = debited, len(ledger)
         floats = [v for r in records for v in (r.timestamp_ms, r.latency_ms, r.battery_pct)]
-        floats += [v for column in (ledger.timestamp_ms, ledger.energy_mj, ledger.battery_pct)
-                   for v in column[start:debited]]
+        columns = ledger.columns(start)
+        floats += [v for attr in ("timestamp_ms", "energy_mj", "battery_pct")
+                   for v in columns[attr]]
         bound += len({v for v in floats if v})
         cells += sum(v is not None for v in floats)
         sink(records)
@@ -419,8 +420,9 @@ def test_cli_runtime_abort_exits_3_without_artifacts(tmp_path, monkeypatch, caps
     monkeypatch.setitem(tiersim.engine._HANDLERS, "command-arrival", schedule_in_the_past)
     writes = []
     write = tiersim.summary.write_trace_csv  # the name the artifact sink writes through
-    monkeypatch.setattr("tiersim.summary.write_trace_csv",
-                        lambda records, dest: writes.append(len(records)) or write(records, dest))
+    # the sink hands each write one batch, whose columns all hold its rows
+    monkeypatch.setattr("tiersim.summary.write_trace_csv", lambda batch, dest: writes.append(
+        len(batch.columns["timestamp_ms"])) or write(batch, dest))
     path = tmp_path / "abort.json"
     path.write_text(json.dumps(_fleet_document(1.0, 3_000_000.0)))
     kept = tmp_path / "kept"

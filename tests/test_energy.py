@@ -18,8 +18,10 @@ from tiersim import (
     debit,
     debit_sleep,
     energy_savings_percent,
+    scenario_from_dict,
 )
 from tiersim.energy import LedgerEntry, OperationCost
+from tiersim.summary import ArtifactSink
 
 S, G, C = InferenceMode.SENSOR, InferenceMode.GATEWAY, InferenceMode.CLOUD
 TABLE = EnergyTable()
@@ -155,21 +157,45 @@ def test_debit_of_negative_zero_keeps_its_sign():
     assert battery.consumed_j == 0.0 and not battery.dead
 
 
-def test_ledger_keeps_at_most_48_bytes_per_debit():
+def test_ledger_keeps_at_most_24_bytes_per_debit():
     # each debit's time and level are fresh floats, as in a run; the
-    # columns keep their values, not the float objects
+    # columns keep their values, not the float objects. The debits cycle
+    # through 20 nodes and five tags, so the 100 triples they repeat are
+    # counted too.
     ledger = EnergyLedger()
     debits = 50_000
+    node_ids = [f"n{i}" for i in range(20)]
+    costs = [(tag, getattr(TABLE, tag).energy_mj)
+             for tag in ("sampling", "local_inference", "compression", "radio_tx")]
+    costs.append(("deep_sleep", TABLE.sleep_energy_mj(30_000.0)))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for i in range(debits):
-            ledger.add(i * 10.5, "n0", "sampling", 2_000.0, 100.0 - i * 1e-4)
+            tag, energy_mj = costs[i % len(costs)]
+            ledger.add(i * 10.5, node_ids[i // len(costs) % len(node_ids)], tag, energy_mj,
+                       100.0 - i * 1e-4)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(ledger.entries) == debits
-    assert grown / debits <= 48
+    assert len(ledger) == len(ledger.entries) == debits
+    assert len({(e.node_id, e.operation) for e in ledger.entries}) == 100
+    assert grown / debits <= 24
+
+
+def test_ledger_keeps_negative_zero_apart_and_reads_an_int_energy_as_a_float(tmp_path):
+    # 0.0 == -0.0 and 2 == 2.0, so the ledger's triple key must add the
+    # sign to tell the zeros apart, and its stored energy must be a float
+    ledger = EnergyLedger()
+    for energy_mj in (0.0, -0.0, 2, 2.0):
+        ledger.add(1.0, "n0", "deep_sleep", energy_mj, 100.0)
+    energies = [e.energy_mj for e in ledger.entries]
+    assert list(map(repr, energies)) == ["0.0", "-0.0", "2.0", "2.0"]
+    assert set(map(type, energies)) == {float} and ledger.total_mj == 4.0
+    with ArtifactSink(scenario_from_dict({}), ledger, tmp_path) as sink:
+        sink([])
+    rows = (tmp_path / "energy.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["0.0", "-0.0", "2.0", "2.0"]
 
 
 def test_ledger_entries_are_rebuilt_from_the_columns_on_each_read():
