@@ -77,29 +77,23 @@ class EnergyTable:
                 ("compress", "compression", self.compression),
                 ("radio-tx", "radio_tx", self.radio_tx))
 
-    def active_energy_mj(self, mode: InferenceMode) -> float:
-        total = 0.0  # a plain loop: sum() of floats may compensate
-        for _, _, cost in self.active_phase(mode):
-            total += cost.energy_mj
-        return total
-
-    def active_duration_ms(self, mode: InferenceMode) -> float:
-        total = 0.0
-        for _, _, cost in self.active_phase(mode):
-            total += cost.duration_ms
-        return total
-
 
 def cycle_energy(mode: InferenceMode, sleep_ms: float, table: EnergyTable) -> float:
     """Total energy (mJ) of one duty cycle: active phase plus sleep phase."""
-    return table.active_energy_mj(mode) + table.sleep_energy_mj(sleep_ms)
+    active = 0.0  # a plain loop: sum() of floats may compensate
+    for _, _, cost in table.active_phase(mode):
+        active += cost.energy_mj
+    return active + table.sleep_energy_mj(sleep_ms)
 
 
 def cycle_duration(mode: InferenceMode, sleep_ms: float, table: EnergyTable) -> float:
     """Total duration (ms) of one duty cycle: sleep phase plus active phase."""
     if sleep_ms < 0:
         raise ConfigurationError(f"sleep duration must be >= 0 ms, got {sleep_ms}")
-    return sleep_ms + table.active_duration_ms(mode)
+    active = 0.0
+    for _, _, cost in table.active_phase(mode):
+        active += cost.duration_ms
+    return sleep_ms + active
 
 
 def battery_life_bound(

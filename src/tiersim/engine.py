@@ -129,7 +129,7 @@ class Simulator:
         self.scenario = scenario
         self.params = scenario.params
         self.table = scenario.energy
-        self.anomaly_labels = scenario.anomaly_label_set()
+        self.anomaly_labels = frozenset(map(ConditionLabel, scenario.anomaly_labels))
         self.now_ms = 0.0  # the timestamp of the event being handled
         self._heap: list[tuple[float, int, str, str, object]] = []
         self._seq = 0
@@ -137,16 +137,17 @@ class Simulator:
         self.ledger = EnergyLedger()
 
         self.nodes: dict[str, SensorNode] = {}
-        sensor, gateway, cloud = InferenceMode.SENSOR, InferenceMode.GATEWAY, InferenceMode.CLOUD
-        latency, depth = scenario.latency, self.params.history_depth
-        self.gateway = Gateway(gateway, depth(gateway), latency.constant(gateway),
-                               latency.jitter(gateway), scenario.gateway_service_ms)
+        params, latency = self.params, scenario.latency
+        self.gateway = Gateway(InferenceMode.GATEWAY, params.history_depth_gateway,
+                               latency.gateway_ms, latency.jitter_gateway_ms,
+                               scenario.gateway_service_ms)
         self.tiers: dict[InferenceMode, Tier] = {
-            sensor: Tier(sensor, depth(sensor), latency.constant(sensor),
-                         latency.jitter(sensor), 0.0),
-            gateway: self.gateway,
-            cloud: Tier(cloud, depth(cloud), latency.constant(cloud), latency.jitter(cloud),
-                        scenario.cloud_service_ms),
+            InferenceMode.SENSOR: Tier(InferenceMode.SENSOR, params.history_depth_sensor,
+                                       latency.sensor_ms, latency.jitter_sensor_ms, 0.0),
+            InferenceMode.GATEWAY: self.gateway,
+            InferenceMode.CLOUD: Tier(InferenceMode.CLOUD, params.history_depth_cloud,
+                                      latency.cloud_ms, latency.jitter_cloud_ms,
+                                      scenario.cloud_service_ms),
         }
         # Per-node streams, each derived on first use from its own labels:
         # a node's truth process and prediction count on its first prediction.

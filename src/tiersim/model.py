@@ -174,13 +174,6 @@ class HeuristicParams:
         if self.queue_limit < 1:
             raise ConfigurationError(f"queue_limit must be >= 1, got {self.queue_limit}")
 
-    def history_depth(self, mode: InferenceMode) -> int:
-        if mode is InferenceMode.SENSOR:
-            return self.history_depth_sensor
-        if mode is InferenceMode.GATEWAY:
-            return self.history_depth_gateway
-        return self.history_depth_cloud
-
 
 @dataclass(frozen=True)
 class LatencyModel:
@@ -203,26 +196,13 @@ class LatencyModel:
         for name in ("sensor_ms", "gateway_ms", "cloud_ms"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigurationError(f"latency {name} must be finite and > 0")
-        for mode in InferenceMode:  # below a finite constant, so finite too
-            if not 0 <= self.jitter(mode) < self.constant(mode):
+        for mode, jitter, constant in (("S", self.jitter_sensor_ms, self.sensor_ms),
+                                       ("G", self.jitter_gateway_ms, self.gateway_ms),
+                                       ("C", self.jitter_cloud_ms, self.cloud_ms)):
+            if not 0 <= jitter < constant:  # below a finite constant, so finite too
                 raise ConfigurationError(
-                    f"jitter for {mode.value} must be in [0, latency) to keep "
-                    "latencies positive"
+                    f"jitter for {mode} must be in [0, latency) to keep latencies positive"
                 )
-
-    def constant(self, mode: InferenceMode) -> float:
-        if mode is InferenceMode.SENSOR:
-            return self.sensor_ms
-        if mode is InferenceMode.GATEWAY:
-            return self.gateway_ms
-        return self.cloud_ms
-
-    def jitter(self, mode: InferenceMode) -> float:
-        if mode is InferenceMode.SENSOR:
-            return self.jitter_sensor_ms
-        if mode is InferenceMode.GATEWAY:
-            return self.jitter_gateway_ms
-        return self.jitter_cloud_ms
 
     def with_jitter_fraction(self, fraction: float) -> "LatencyModel":
         """Copy with per-mode jitter half-widths set to a fraction of each constant."""

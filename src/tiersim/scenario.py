@@ -20,7 +20,6 @@ from typing import get_args, get_origin, get_type_hints
 from .energy import EnergyTable
 from .model import (
     BatteryState,
-    ConditionLabel,
     ConfigurationError,
     HeuristicParams,
     InferenceMode,
@@ -114,15 +113,19 @@ class Scenario:
         for mode in InferenceMode:
             if mode not in self.profiles:
                 raise ConfigurationError(f"missing accuracy profile for mode {mode.value}")
-        for label in self.anomaly_labels:
+        for i, label in enumerate(self.anomaly_labels):
             if label not in (0, 1, 2, 3):
-                raise ConfigurationError(f"anomaly label {label} outside 0..3")
+                raise _EntryError(f"anomaly_labels[{i}]", f"anomaly label {label} outside 0..3")
         if self.poll_every_cycles < 1:
-            raise ConfigurationError("poll_every_cycles must be >= 1")
+            raise _EntryError("poll.every_cycles",
+                              f"poll_every_cycles must be >= 1, got {self.poll_every_cycles}")
         if not 0.0 <= self.empty_poll_fraction <= 1.0:
-            raise ConfigurationError("empty_poll_fraction must be in [0, 1]")
-        if not (0 <= self.gateway_service_ms < math.inf and 0 <= self.cloud_service_ms < math.inf):
-            raise ConfigurationError("tier service times must be finite and >= 0")
+            raise _EntryError("poll.empty_fraction", "empty_poll_fraction must be in [0, 1], "
+                              f"got {self.empty_poll_fraction}")
+        for name in ("gateway_service_ms", "cloud_service_ms"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise _EntryError(name, f"{name} must be finite and >= 0, got {value}")
         if not 0 <= self.provisioning_stage_ms < math.inf:
             raise ConfigurationError("provisioning_stage_ms must be finite and >= 0")
         if not 0.0 <= self.drop_probability < 1.0:
@@ -135,9 +138,6 @@ class Scenario:
                                degraded_split=self.degraded_split)
         except ConfigurationError as err:
             raise _EntryError("ground_truth", str(err)) from None
-
-    def anomaly_label_set(self) -> frozenset[ConditionLabel]:
-        return frozenset(ConditionLabel(v) for v in self.anomaly_labels)
 
 
 # -- JSON loading: the dataclasses above are the schema ---------------------

@@ -63,7 +63,7 @@ def test_readme_schema_documents_the_defaults():
     # the documented command is an example; by default there are none
     assert scenario.commands == (
         PropertyCommand("node-0", "sleep_period", value=5000, at_ms=60_000.0),)
-    assert replace(scenario, commands=()) == scenario_from_dict({})
+    assert replace(scenario, commands=()) == Scenario()
 
 
 def test_scenario_overrides_apply(tmp_path):
@@ -168,6 +168,17 @@ def test_invalid_values_rejected():
         scenario_from_dict({"energy": {"radio_tx": {"energy_mj": -1}}})
     with pytest.raises(ConfigurationError, match=r"^<scenario>: nodes\[1\]: duplicate node id 'a'"):
         scenario_from_dict({"nodes": [{"node_id": "a"}, {"node_id": "a"}]})
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "<scenario>: poll.every_cycles: poll_every_cycles must be >= 1, got 0")):
+        scenario_from_dict({"poll": {"every_cycles": 0}})
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "<scenario>: cloud_service_ms: cloud_service_ms must be finite and >= 0, got -1.0")):
+        scenario_from_dict({"cloud_service_ms": -1})
+    # built in Python, past the loader: a document's profiles merge onto the defaults
+    with pytest.raises(ConfigurationError, match="missing accuracy profile for mode S"):
+        Scenario(profiles={})
+    with pytest.raises(ConfigurationError, match=r"jitter fraction must be in \[0, 1\), got 1.0"):
+        LatencyModel().with_jitter_fraction(1.0)
 
 
 @pytest.mark.parametrize("doc, path", [
@@ -203,6 +214,15 @@ def test_invalid_values_rejected():
     # values that no code reads are not in the schema, so naming one fails
     ({"nodes": [{"battery_voltage_v": 3.7}]}, "nodes[0]"),
     ({"energy": {"radio_tx": {"size_kb": 3.0}}}, "energy.radio_tx"),
+    # Scenario's own checks name the key they read
+    ({"poll": {"every_cycles": 0}}, "poll.every_cycles"),
+    ({"poll": {"empty_fraction": 1.5}}, "poll.empty_fraction"),
+    ({"anomaly_labels": [2, 4]}, "anomaly_labels[1]"),
+    ({"gateway_service_ms": -1}, "gateway_service_ms"),
+    ({"cloud_service_ms": -0.5}, "cloud_service_ms"),
+    ({"latency": {"jitter_sensor_ms": 3.33}}, "latency"),
+    ({"drop_probability": 1.0}, "top level"),
+    ([], "top level"),  # a document that is not an object
 ])
 def test_bad_values_rejected_at_load_with_path(doc, path):
     with pytest.raises(ConfigurationError, match=rf"^<scenario>: {re.escape(path)}: "):
@@ -304,10 +324,13 @@ def _fleet_document(hours: float, command_at_ms: float) -> dict:
 
 
 @pytest.mark.parametrize("name", ["fleet", "paper-latency", "paper-savings",
-                                  "paper-battery-bounds"])
+                                  "paper-battery-bounds", "int-stage"])
 def test_streamed_artifacts_match_the_whole_list_writers(tmp_path, name):
     if name == "fleet":
         scenario = scenario_from_dict(_fleet_document(1.0, 1_800_000.0))
+    elif name == "int-stage":
+        # the provisioning rows' int times share batches with float times
+        scenario = Scenario(provisioning_stage_ms=100, duration_ms=60_000.0)
     else:
         scenario = load_preset(name)
     streamed = tmp_path / "streamed"
@@ -326,6 +349,9 @@ def test_streamed_artifacts_match_the_whole_list_writers(tmp_path, name):
     if name == "fleet":
         # several batches and a remainder
         assert len(records) > 2 * WRITE_CHUNK_ROWS and len(records) % WRITE_CHUNK_ROWS
+    if name == "int-stage":
+        rows = (streamed / "trace.csv").read_text().splitlines()
+        assert rows[1].startswith("100,") and rows[-1].split(",", 1)[0].endswith(".0")
 
     stored = json.loads((streamed / "summary.json").read_text())
     assert stored == summary.to_dict()
@@ -458,6 +484,14 @@ def test_cli_runs_scenario_file(tmp_path, capsys):
     assert code == 0
     assert "scenario scenario" in capsys.readouterr().out
     assert (tmp_path / "out" / "trace.csv").exists()
+
+
+def test_cli_summary_reports_a_dead_battery(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"duration_ms": 120_000,
+                                "nodes": [{"battery_capacity_j": 5.0}]}))
+    assert main([str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "  battery dead: node-0 at 31112 ms (0.0 h)\n" in capsys.readouterr().out
 
 
 def test_cli_preset_with_overrides(tmp_path, capsys):

@@ -10,6 +10,7 @@ import weakref
 import pytest
 
 from tiersim import (
+    HeuristicParams,
     InferenceMode,
     LatencyModel,
     NodeConfig,
@@ -19,6 +20,7 @@ from tiersim import (
     new_tracker,
 )
 from tiersim.cli import run_scenario
+from tiersim.engine import Tier
 from tiersim.node import LifecycleEvent, PropertyCommand, PropertyMethod
 from tiersim.oracle import TierAccuracyProfile
 from tiersim.scenario import scenario_from_dict
@@ -100,6 +102,27 @@ def test_equal_timestamps_execute_in_insertion_order():
 
 def test_empty_scenario_produces_empty_trace():
     assert Simulator(scenario(nodes=())).run_until(1_000_000.0) == []
+
+
+def test_each_tier_is_built_from_its_own_scenario_fields():
+    # every value differs between tiers, so two tiers' swapped fields show
+    plan = scenario(
+        params=HeuristicParams(history_depth_sensor=30, history_depth_gateway=12,
+                               history_depth_cloud=5),
+        latency=LatencyModel(sensor_ms=3.0, gateway_ms=150.0, cloud_ms=600.0,
+                             jitter_sensor_ms=1.0, jitter_gateway_ms=20.0, jitter_cloud_ms=50.0),
+        gateway_service_ms=7.0, cloud_service_ms=9.0)
+    sim = Simulator(plan)
+    assert [f.name for f in dataclasses.fields(Tier)] == [
+        "mode", "depth", "latency_ms", "jitter_ms", "service_ms", "queue", "trackers", "oracles"]
+    expected = {S: (30, 3.0, 1.0, 0.0), G: (12, 150.0, 20.0, 7.0), C: (5, 600.0, 50.0, 9.0)}
+    assert list(sim.tiers) == [S, G, C] and sim.tiers[G] is sim.gateway
+    for mode, (depth, latency_ms, jitter_ms, service_ms) in expected.items():
+        tier = sim.tiers[mode]
+        assert (tier.mode, tier.depth, tier.latency_ms, tier.jitter_ms, tier.service_ms) == \
+            (mode, depth, latency_ms, jitter_ms, service_ms)
+        assert (list(tier.queue), tier.trackers, tier.oracles) == \
+            ([], {"node-0": new_tracker(depth)}, {})
 
 
 # -- prediction cadence ------------------------------------------------------

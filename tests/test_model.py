@@ -80,6 +80,8 @@ def test_battery_zero_capacity_is_dead():
 def test_battery_validation():
     with pytest.raises(ConfigurationError):
         BatteryState(capacity_j=10.0, consumed_j=11.0)
+    with pytest.raises(ConfigurationError, match="battery capacity must be >= 0 J, got -1.0"):
+        BatteryState(capacity_j=-1.0)
 
 
 # 100 * c / c rounds to 100.00000000000001 for this capacity
@@ -125,13 +127,6 @@ def test_default_params_match_published_configuration():
 def test_params_validation(kwargs):
     with pytest.raises(ConfigurationError):
         HeuristicParams(**kwargs)
-
-
-def test_params_depth_lookup():
-    params = HeuristicParams()
-    assert params.history_depth(S) == 32
-    assert params.history_depth(G) == 16
-    assert params.history_depth(C) == 8
 
 
 def test_condition_labels():

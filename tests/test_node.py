@@ -158,6 +158,8 @@ def test_set_state_drives_state_machine():
     # no edge from IDLE to WORKING
     assert node.apply_command(cmd("state", "SET", "WORKING")).status == "protocol-violation"
     assert node.state is NodeState.IDLE
+    assert node.apply_command(cmd("state", "SET", "BROKEN")).status == "invalid-value"
+    assert node.state is NodeState.IDLE
 
 
 def test_unknown_property_and_gateway_target():

@@ -8,6 +8,7 @@ import pytest
 from tiersim import (
     ClassifierOracle,
     ConditionLabel,
+    ConfigurationError,
     DEFAULT_PROFILES,
     GroundTruthProcess,
     InferenceMode,
@@ -74,6 +75,8 @@ def test_profile_validation():
         TierAccuracyProfile(S, 1.5, (1.0, 1.0, 1.0, 1.0))
     with pytest.raises(Exception):
         TierAccuracyProfile(S, 0.9, (1.0, 1.0, 1.0))
+    with pytest.raises(ConfigurationError, match=r"recall must be in \[0, 1\], got 1.5"):
+        TierAccuracyProfile(S, 0.9, (1.0, 1.5, 1.0, 1.0))
 
 
 def _correct_fraction(profile, true_label, trials=100_000, seed=5):

@@ -220,6 +220,11 @@ def test_a_number_equal_to_a_float_keeps_its_own_text():
                SimEvent(5.0, "n", "k", latency_ms=5, battery_pct=1.0)]
     assert _written(write_trace_csv, records) == "".join(
         _csv_line(astuple(r)[:len(TRACE_COLUMNS)]) for r in records)
+    records = [SimEvent(5, "n", "k"), SimEvent(5.0, "n", "k")]
+    assert [line.split(", ")[-1] for line in _written(write_trace_jsonl, records).splitlines()] \
+        == ['"timestamp_ms": 5}', '"timestamp_ms": 5.0}']
+    assert _written(write_trace_jsonl, records) == "".join(
+        json.dumps(dict(zip(JSONL_KEYS, astuple(r))), sort_keys=True) + "\n" for r in records)
 
 
 def _write_peak(write, rows) -> int:
