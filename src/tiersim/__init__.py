@@ -47,7 +47,6 @@ from .node import (
     LifecycleEvent,
     PropertyCommand,
     PropertyMethod,
-    PropertyResponse,
     SensorNode,
 )
 from .engine import Simulator

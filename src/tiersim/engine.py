@@ -33,14 +33,13 @@ from .model import (
     new_tracker,
 )
 from .node import (
-    CycleStep,
     InvalidTransitionError,
     LifecycleEvent,
     PropertyCommand,
     PropertyMethod,
     PROPERTY_TABLE,
-    PropertyResponse,
     SensorNode,
+    _gate,
 )
 from .oracle import ClassifierOracle, GroundTruthProcess, derive_seed, draw_ground_truth
 
@@ -90,38 +89,6 @@ class Tier:
 GATEWAY_ID = "gateway-0"
 
 
-@dataclass
-class Gateway(Tier):
-    """The gateway tier, which also holds pending node commands and its device properties.
-
-    A node's command outbox is made when the first command for it arrives.
-    """
-
-    pending_commands: dict[str, deque[PropertyCommand]] = field(default_factory=dict)
-    provisioned_nodes: list[str] = field(default_factory=list)
-
-    def apply_command(self, cmd: PropertyCommand) -> PropertyResponse:
-        """Handle a gateway-targeted property command per the registry gating."""
-        spec = PROPERTY_TABLE.get(cmd.name)
-        if spec is None or spec.target != "gateway":
-            return PropertyResponse("unknown-property")
-        if cmd.method not in spec.methods:
-            return PropertyResponse("method-not-allowed")
-        if cmd.name == "gateway_id":
-            return PropertyResponse("ok", GATEWAY_ID)
-        # provisioned_nodes: a SET takes a list of node ids, an ADD one id
-        if cmd.method is PropertyMethod.GET:
-            return PropertyResponse("ok", list(self.provisioned_nodes))
-        if cmd.method is PropertyMethod.ADD and isinstance(cmd.value, str):
-            self.provisioned_nodes.append(cmd.value)
-        elif cmd.method is PropertyMethod.SET and isinstance(cmd.value, list) and all(
-                isinstance(v, str) for v in cmd.value):
-            self.provisioned_nodes = list(cmd.value)
-        else:
-            return PropertyResponse("invalid-value")
-        return PropertyResponse("ok")
-
-
 class Simulator:
     """Single-threaded event loop advancing all nodes and tiers."""
 
@@ -137,10 +104,14 @@ class Simulator:
         self.ledger = EnergyLedger()
 
         self.nodes: dict[str, SensorNode] = {}
+        # The gateway also relays commands: a node's outbox is made when the
+        # first command for it arrives.
+        self.pending_commands: dict[str, deque[PropertyCommand]] = {}
+        self.provisioned_nodes: list[str] = []
         params, latency = self.params, scenario.latency
-        self.gateway = Gateway(InferenceMode.GATEWAY, params.history_depth_gateway,
-                               latency.gateway_ms, latency.jitter_gateway_ms,
-                               scenario.gateway_service_ms)
+        self.gateway = Tier(InferenceMode.GATEWAY, params.history_depth_gateway,
+                            latency.gateway_ms, latency.jitter_gateway_ms,
+                            scenario.gateway_service_ms)
         self.tiers: dict[InferenceMode, Tier] = {
             InferenceMode.SENSOR: Tier(InferenceMode.SENSOR, params.history_depth_sensor,
                                        latency.sensor_ms, latency.jitter_sensor_ms, 0.0),
@@ -300,7 +271,7 @@ class Simulator:
         # The gateway auto-orchestrates the happy path to WORKING. A
         # config-reject leaves the node UNLOCKED awaiting operator input.
         if event is LifecycleEvent.PROVISIONING_COMPLETE:
-            self.gateway.provisioned_nodes.append(node.node_id)
+            self.provisioned_nodes.append(node.node_id)
         if event in (LifecycleEvent.PROVISIONING_COMPLETE, LifecycleEvent.RESET_COMMAND):
             self.schedule(self.now_ms + stage_ms, "lifecycle", node.node_id,
                           LifecycleEvent.PROPERTIES_UPDATED)
@@ -330,7 +301,7 @@ class Simulator:
         at = self.now_ms
         for step in node.plan_cycle(self.table):
             self.schedule(at, "op", node_id, step)
-            start, at = at, at + step.duration_ms
+            start, at = at, at + step[1]
         if node.mode is InferenceMode.SENSOR:
             self.schedule(at, "predict-local", node_id)
             if poll_due:  # the poll's duration, known at poll time, ends the cycle
@@ -340,10 +311,11 @@ class Simulator:
             self.schedule(start, "radio-window", node_id)
         self.schedule(at, "cycle-start", node_id, epoch)
 
-    def _on_op(self, node_id: str, step: CycleStep) -> None:
+    def _on_op(self, node_id: str, step: tuple[str, float, str, float, str]) -> None:
         node = self.nodes[node_id]
-        debit(node.battery, self.ledger, step.operation, step.energy_mj, self.now_ms, node_id)
-        self._record(node, step.kind, detail=step.detail)
+        kind, _, operation, energy_mj, detail = step
+        debit(node.battery, self.ledger, operation, energy_mj, self.now_ms, node_id)
+        self._record(node, kind, detail=detail)
 
     # -- predictions ------------------------------------------------------
 
@@ -485,41 +457,60 @@ class Simulator:
         node, at the next transmit window otherwise. Nodes outside
         WORKING keep their radio listening, so delivery is immediate.
         """
-        spec = PROPERTY_TABLE.get(cmd.name)
-        if spec is not None and spec.target == "gateway":
-            response = self.gateway.apply_command(cmd)
+        if cmd.name in PROPERTY_TABLE and PROPERTY_TABLE[cmd.name][0] == "gateway":
             self._record(None, "property-command", node_id=cmd.node_id,
-                         detail=_command_detail(cmd, response))
+                         detail=_command_detail(cmd, *self.apply_gateway_command(cmd)))
             return
         node = self.nodes.get(cmd.node_id)
         if node is None:
             self._record(None, "command-dropped", node_id=cmd.node_id,
                          detail="command for unknown node")
             return
-        self.gateway.pending_commands.setdefault(cmd.node_id, deque()).append(cmd)
+        self.pending_commands.setdefault(cmd.node_id, deque()).append(cmd)
         self._record(node, "command-queued", detail=f"{cmd.method.value} {cmd.name}")
         if node.state is not NodeState.WORKING:
             self._deliver_pending_commands(node)
 
+    def apply_gateway_command(self, cmd: PropertyCommand) -> tuple[str, object]:
+        """Apply a gateway-targeted property command per the registry gating.
+
+        Returns ``(status, value)`` as ``SensorNode.apply_command`` does.
+        """
+        refusal = _gate(cmd, "gateway")
+        if refusal:
+            return refusal
+        if cmd.name == "gateway_id":
+            return "ok", GATEWAY_ID
+        # provisioned_nodes: a SET takes a list of node ids, an ADD one id
+        if cmd.method is PropertyMethod.GET:
+            return "ok", list(self.provisioned_nodes)
+        if cmd.method is PropertyMethod.ADD and isinstance(cmd.value, str):
+            self.provisioned_nodes.append(cmd.value)
+        elif cmd.method is PropertyMethod.SET and isinstance(cmd.value, list) and all(
+                isinstance(v, str) for v in cmd.value):
+            self.provisioned_nodes = list(cmd.value)
+        else:
+            return "invalid-value", None
+        return "ok", None
+
     def _deliver_pending_commands(self, node: SensorNode) -> None:
-        pending = self.gateway.pending_commands.get(node.node_id)
+        pending = self.pending_commands.get(node.node_id)
         while pending:
             cmd = pending.popleft()
             before = node.mode
-            response = node.apply_command(cmd)
+            status, value = node.apply_command(cmd)
             is_state_step = (cmd.name == "state" and cmd.method is PropertyMethod.SET
-                             and response.ok)
+                             and status == "ok")
             if is_state_step:
                 # the lifecycle row leads so state-machine triples read
                 # cleanly off consecutive trace rows
-                event: LifecycleEvent = response.value  # type: ignore[assignment]
+                event: LifecycleEvent = value  # type: ignore[assignment]
                 self._record(node, event.value, detail="via SET state")
-            elif cmd.name == "state" and response.status == "protocol-violation":
+            elif cmd.name == "state" and status == "protocol-violation":
                 self._record(node, "protocol-violation",
                              detail=f"SET state {cmd.value} has no edge from "
                                     f"{node.state.value}")
-            self._record(node, "property-command",
-                         detail=_command_detail(cmd, response))
+            self._record(node, "property-command", detail=_command_detail(cmd, status, value))
             if node.mode is not before:
                 self._change_mode(node, node.mode, "operator")
             if is_state_step:
@@ -529,7 +520,7 @@ class Simulator:
 
     def _on_poll(self, node_id: str, data: None) -> None:
         node = self.nodes[node_id]
-        pending = self.gateway.pending_commands.get(node_id)
+        pending = self.pending_commands.get(node_id)
         radio = self.table.radio_tx
         if pending:
             duration = radio.duration_ms
@@ -547,9 +538,8 @@ class Simulator:
             self.schedule(self.now_ms + duration, "cycle-start", node.node_id, node.epoch)
 
 
-def _command_detail(cmd: PropertyCommand, response: PropertyResponse) -> str:
-    text = f"{cmd.method.value} {cmd.name} status={response.status}"
-    value = response.value
+def _command_detail(cmd: PropertyCommand, status: str, value: object) -> str:
+    text = f"{cmd.method.value} {cmd.name} status={status}"
     if value is not None:
         value = getattr(value, "value", value)  # enums print their wire value
         text += f" value={value}"

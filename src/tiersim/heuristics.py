@@ -8,7 +8,7 @@ depth comes from ``HeuristicParams``, which validates it once.
 
 from __future__ import annotations
 
-from .model import AnomalyTracker, HeuristicParams, InferenceMode
+from .model import AnomalyTracker, HeuristicParams, InferenceMode, new_tracker
 
 _new, _set = object.__new__, object.__setattr__  # how a frozen dataclass sets fields
 
@@ -25,7 +25,7 @@ def update_history(tracker: AnomalyTracker, anomaly_bit: int, mode_unchanged: bo
         raise ValueError(f"anomaly bit must be 0 or 1, got {anomaly_bit}")
     depth = tracker.depth
     if not mode_unchanged:
-        return AnomalyTracker(bits=0, length=0, depth=depth)
+        return new_tracker(depth)
     # A shift keeps the invariants (bits within length within depth), so the
     # tracker of every prediction is built without rerunning its checks.
     shifted = _new(AnomalyTracker)

@@ -60,17 +60,10 @@ class PropertyMethod(enum.Enum):
     ADD = "ADD"
 
 
-@dataclass(frozen=True)
-class PropertySpec:
-    """One row of the device property registry; the registry key names it."""
-
-    methods: frozenset[PropertyMethod]
-    target: str  # "sensor" or "gateway"
-
-
-#: Device property registry: what can be read or written on which device.
-PROPERTY_TABLE: dict[str, PropertySpec] = {
-    name: PropertySpec(frozenset(PropertyMethod(m) for m in methods.split("/")), target)
+#: Device property registry: each property's target device ("sensor" or
+#: "gateway") and the methods it takes.
+PROPERTY_TABLE: dict[str, tuple[str, frozenset[PropertyMethod]]] = {
+    name: (target, frozenset(PropertyMethod(m) for m in methods.split("/")))
     for name, methods, target in (
         ("tf_model_bytes", "SET", "sensor"),
         ("tf_model_size", "SET", "sensor"),
@@ -98,27 +91,6 @@ class PropertyCommand:
         check_node_id(self.node_id)  # an unknown node's id is written to the trace
         if not math.isfinite(self.at_ms) or self.at_ms < 0:  # NaN would stall the event loop
             raise ConfigurationError(f"at_ms must be finite and >= 0, got {self.at_ms}")
-
-
-@dataclass(frozen=True)
-class PropertyResponse:
-    status: str  # "ok" | "method-not-allowed" | "unknown-property" | "invalid-value" | "protocol-violation"
-    value: object | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
-@dataclass(frozen=True)
-class CycleStep:
-    """One operation inside a duty cycle and the energy it costs."""
-
-    kind: str  # trace event kind
-    duration_ms: float
-    operation: str  # energy ledger tag
-    energy_mj: float
-    detail: str  # the op row's trace detail
 
 
 @dataclass
@@ -160,16 +132,19 @@ class SensorNode:
 
     # -- device properties ----------------------------------------------
 
-    def apply_command(self, cmd: PropertyCommand) -> PropertyResponse:
-        """Apply a SET/GET property command per the registry gating."""
-        spec = PROPERTY_TABLE.get(cmd.name)
-        if spec is None or spec.target != "sensor":
-            return PropertyResponse("unknown-property")
-        if cmd.method not in spec.methods:
-            return PropertyResponse("method-not-allowed")
+    def apply_command(self, cmd: PropertyCommand) -> tuple[str, object]:
+        """Apply a SET/GET property command per the registry gating.
 
+        Returns ``(status, value)``. The status is "ok", or why the command
+        failed: "unknown-property", "method-not-allowed", "invalid-value" or
+        "protocol-violation". The value is a GET's reading, or the lifecycle
+        event a SET of ``state`` stepped; None otherwise.
+        """
+        refusal = _gate(cmd, "sensor")
+        if refusal:
+            return refusal
         if cmd.method is PropertyMethod.GET:
-            return PropertyResponse("ok", self._get_property(cmd.name))
+            return "ok", self._get_property(cmd.name)
         return self._set_property(cmd.name, cmd.value)
 
     def _get_property(self, name: str) -> object:
@@ -181,48 +156,51 @@ class SensorNode:
             return self.state.value
         return self.mode.value  # inference_mode, the last readable property
 
-    def _set_property(self, name: str, value: object) -> PropertyResponse:
+    def _set_property(self, name: str, value: object) -> tuple[str, object]:
         if name == "sleep_period":
             # the loader's rule for a number: finite, and not a boolean
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not 0 <= value <= sys.float_info.max):
-                return PropertyResponse("invalid-value")
+                return "invalid-value", None
             self.sleep_period_ms = float(value)  # takes effect from the next cycle
-            return PropertyResponse("ok")
+            return "ok", None
         if name == "inference_mode":
             try:
                 mode = value if isinstance(value, InferenceMode) else InferenceMode.parse(str(value))
             except ConfigurationError:
-                return PropertyResponse("invalid-value")
+                return "invalid-value", None
             self.mode = mode  # the engine empties the node's windows on a change
-            return PropertyResponse("ok")
+            return "ok", None
         if name == "state":
             try:
                 target = value if isinstance(value, NodeState) else NodeState.parse(str(value))
             except ConfigurationError:
-                return PropertyResponse("invalid-value")
+                return "invalid-value", None
             event = _event_for_target_state(self.state, target)
             if event is None:
-                return PropertyResponse("protocol-violation")
+                return "protocol-violation", None
             self.step_state(event)
             # callers need the lifecycle event to continue orchestration
-            return PropertyResponse("ok", event)
+            return "ok", event
         # tf_model_bytes or tf_model_size: accepted and dropped, as neither
         # can be read back and a model swap does not alter the prediction
         # oracle mid-run.
-        return PropertyResponse("ok")
+        return "ok", None
 
     # -- duty cycle ------------------------------------------------------
 
-    def plan_cycle(self, table: EnergyTable) -> tuple[CycleStep, ...]:
+    def plan_cycle(self, table: EnergyTable) -> tuple[tuple[str, float, str, float, str], ...]:
         """The steps of the next duty cycle, in order.
 
-        The cycle is a sleep phase followed by the active phase: a full
-        sampling window, then either on-device inference or
-        compress-and-transmit. The steps are built again only when the
-        mode, the sleep period or the table is a different object than at
-        the last cycle; identity, not ``==``, so that ``-0.0`` after
-        ``0.0`` still gets its own ``detail`` and energy text.
+        Each step is ``(kind, duration_ms, operation, energy_mj, detail)``:
+        its trace event kind, how long it takes, its energy ledger tag, what
+        it costs and its op row's trace detail. The cycle is a sleep phase
+        followed by the active phase: a full sampling window, then either
+        on-device inference or compress-and-transmit. The steps are built
+        again only when the mode, the sleep period or the table is a
+        different object than at the last cycle; identity, not ``==``, so
+        that ``-0.0`` after ``0.0`` still gets its own ``detail`` and energy
+        text.
         """
         if self.state is not NodeState.WORKING:
             raise SimulationError(
@@ -231,13 +209,23 @@ class SensorNode:
         self.cycle_index += 1
         mode, sleep, cached = self.mode, self.sleep_period_ms, self._cycle
         if cached is None or cached[0] is not mode or cached[1] is not sleep or cached[2] is not table:
-            steps = (CycleStep("sleep", sleep, "deep_sleep", table.sleep_energy_mj(sleep),
-                               f"duration_ms={sleep}"),
-                     *(CycleStep(kind, cost.duration_ms, operation, cost.energy_mj,
-                                 f"duration_ms={cost.duration_ms}")
+            steps = (("sleep", sleep, "deep_sleep", table.sleep_energy_mj(sleep),
+                      f"duration_ms={sleep}"),
+                     *((kind, cost.duration_ms, operation, cost.energy_mj,
+                        f"duration_ms={cost.duration_ms}")
                        for kind, operation, cost in table.active_phase(mode)))
             cached = self._cycle = (mode, sleep, table, steps)
         return cached[3]
+
+
+def _gate(cmd: PropertyCommand, target: str) -> tuple[str, None] | None:
+    """``(status, None)`` if the registry refuses ``cmd`` on ``target``, else None."""
+    entry = PROPERTY_TABLE.get(cmd.name)
+    if entry is None or entry[0] != target:
+        return "unknown-property", None
+    if cmd.method not in entry[1]:
+        return "method-not-allowed", None
+    return None
 
 
 def _event_for_target_state(current: NodeState, target: NodeState) -> LifecycleEvent | None:

@@ -95,10 +95,17 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # NaN fails every comparison, so the time checks below also reject it
-        if not 0 <= self.duration_ms < math.inf:
-            raise ConfigurationError(
-                f"duration_ms must be finite and >= 0, got {self.duration_ms}"
-            )
+        for name in ("duration_ms", "provisioning_stage_ms", "gateway_service_ms",
+                     "cloud_service_ms"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise _EntryError(name, f"{name} must be finite and >= 0, got {value}")
+        if not 0 < self.request_timeout_ms < math.inf:
+            raise _EntryError("request_timeout_ms", "request_timeout_ms must be finite and > 0, "
+                              f"got {self.request_timeout_ms}")
+        if not 0.0 <= self.drop_probability < 1.0:
+            raise _EntryError("drop_probability",
+                              f"drop_probability must be in [0, 1), got {self.drop_probability}")
         try:  # every stream's seed is derived from the seed's decimal text
             str(self.seed)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
@@ -122,16 +129,6 @@ class Scenario:
         if not 0.0 <= self.empty_poll_fraction <= 1.0:
             raise _EntryError("poll.empty_fraction", "empty_poll_fraction must be in [0, 1], "
                               f"got {self.empty_poll_fraction}")
-        for name in ("gateway_service_ms", "cloud_service_ms"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise _EntryError(name, f"{name} must be finite and >= 0, got {value}")
-        if not 0 <= self.provisioning_stage_ms < math.inf:
-            raise ConfigurationError("provisioning_stage_ms must be finite and >= 0")
-        if not 0.0 <= self.drop_probability < 1.0:
-            raise ConfigurationError("drop_probability must be in [0, 1)")
-        if not 0 < self.request_timeout_ms < math.inf:
-            raise ConfigurationError("request_timeout_ms must be finite and > 0")
         try:  # the process's own checks, which the engine repeats per node
             GroundTruthProcess(anomaly_probability=self.anomaly_probability,
                                healthy_split=self.healthy_split,

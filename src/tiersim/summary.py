@@ -89,24 +89,32 @@ def _csv_cell(value) -> str:
 
 
 def _json_cell(value) -> str:
-    return "null" if value is None else _escape(value) if isinstance(value, str) else repr(value)
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)  # null, true or false, where repr writes None, True or False
+    return _escape(value) if isinstance(value, str) else repr(value)
+
+
+#: The types a float or an int column's values share cells within: a value
+#: of another type can equal one of them, as ``5 == 5.0 == True`` do.
+_FLOATS, _INTS = {float, type(None)}, {int, type(None)}
 
 
 class _FloatText(dict):
     """The ``repr`` of each distinct non-zero float in some columns, made once.
 
     A zero is converted on every lookup, because ``0.0 == -0.0`` makes
-    them one key with two texts. When the columns hold a number that is
-    not a float, every value is, since ``5 == 5.0`` too. None maps to a
-    placeholder, which each line format replaces with its own null.
+    them one key with two texts. None maps to a placeholder, which each
+    line format replaces with its own null. Only columns of floats and
+    None share texts; for any others ``floats_only`` is false, the table
+    is empty, and each line format converts every value on its own.
     """
 
     def __init__(self, columns: Iterable[list]) -> None:
-        distinct = set(chain.from_iterable(columns))
+        columns = tuple(columns)
+        self.floats_only = set(map(type, chain.from_iterable(columns))) <= _FLOATS
+        distinct = set(chain.from_iterable(columns)) if self.floats_only else set()
         distinct.discard(None)
         distinct.discard(0.0)  # whichever zero came first
-        if not set(map(type, distinct)) <= {float}:
-            distinct = ()
         super().__init__(zip(distinct, map(repr, distinct)))
         self[None] = ""
 
@@ -142,7 +150,9 @@ class _LineFormat:
     distinct non-zero float of a chunk is converted once. A CSV text
     cell is the value's ``str``, which for text is the value itself.
     Counts, and text a JSON line escapes, repeat, so each distinct value
-    is converted once per call.
+    is converted once per call. A chunk whose float or count column holds
+    another type, such as a bool, converts that column value by value,
+    and a JSON line writes a bool as ``json.dumps`` does.
     """
 
     def __init__(self, record_type: type, columns, jsonl: bool = False) -> None:
@@ -157,10 +167,12 @@ class _LineFormat:
             templates = ["%s"] * len(columns)
         self._null = {None: null}.get  # _null(value, cell): None's cell, else ``cell``
         hints = get_type_hints(record_type)
-        self._columns = []  # (template, attribute, kind): float, str (CSV text) or None (cached)
+        # (template, attribute, kind): float, str (CSV text), int (counts, cached) or None (cached)
+        self._columns = []
         for template, (_, attr) in zip(templates, columns):
             types = get_args(hints[attr]) or (hints[attr],)
-            kind = float if float in types else str if str in types and not jsonl else None
+            kind = (float if float in types else str if str in types and not jsonl
+                    else int if int in types else None)
             self._columns.append((template, attr, kind))
         self.attrs = tuple(attr for _, attr, _ in self._columns)
         self.float_attrs = tuple(attr for _, attr, kind in self._columns if kind is float)
@@ -175,7 +187,7 @@ class _LineFormat:
         A chunk is ``WRITE_CHUNK_ROWS`` rows, or a whole ``_Batch``.
         """
         caches = {attr: _Cells(template, self._cell).__getitem__
-                  for template, attr, kind in self._columns if kind is None}
+                  for template, attr, kind in self._columns if kind in (int, None)}
         if isinstance(records, _Batch):
             yield self._lines(records.columns, records.texts, caches)
             return
@@ -187,14 +199,16 @@ class _LineFormat:
 
     def _lines(self, columns: dict[str, Sequence], texts: _FloatText,
                caches: dict[str, Callable[[object], str]]) -> str:
-        null, float_text = self._null, texts.__getitem__
+        null = self._null
+        float_text = texts.__getitem__ if texts.floats_only else self._cell
         cells = []
         for template, attr, kind in self._columns:
             values = columns[attr]
-            if kind is None:
+            if kind is None or kind is int and set(map(type, values)) <= _INTS:
                 cells.append(map(caches[attr], values))
                 continue
-            column = map(null, values, map(float_text if kind is float else str, values))
+            convert = float_text if kind is float else str if kind is str else self._cell
+            column = map(null, values, map(convert, values))
             cells.append(column if template == "%s" else map(template.__mod__, column))
         # the empty last line ends the chunk with a newline
         return "\n".join(chain(map(self._sep.join, zip(*cells)), ("",)))

@@ -154,8 +154,19 @@ def test_documents_merge_onto_shared_frozen_defaults_without_changing_them():
 
 def test_invalid_values_rejected():
     # every message names its JSON path once, right after the source
-    with pytest.raises(ConfigurationError, match=r"^<scenario>: top level: duration_ms"):
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "<scenario>: duration_ms: duration_ms must be finite and >= 0, got -1.0")):
         scenario_from_dict({"duration_ms": -1})
+    with pytest.raises(ConfigurationError, match=re.escape("<scenario>: provisioning_stage_ms: "
+                                                           "provisioning_stage_ms must be finite "
+                                                           "and >= 0, got -5.0")):
+        scenario_from_dict({"provisioning_stage_ms": -5})
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "<scenario>: drop_probability: drop_probability must be in [0, 1), got 1.5")):
+        scenario_from_dict({"drop_probability": 1.5})
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "<scenario>: request_timeout_ms: request_timeout_ms must be finite and > 0, got 0.0")):
+        scenario_from_dict({"request_timeout_ms": 0})
     with pytest.raises(ConfigurationError, match=r"^<scenario>: nodes\[0\]: unknown inference"):
         scenario_from_dict({"nodes": [{"initial_mode": "Z"}]})
     with pytest.raises(ConfigurationError, match=r"^<scenario>: heuristics: gateway"):
@@ -221,7 +232,7 @@ def test_invalid_values_rejected():
     ({"gateway_service_ms": -1}, "gateway_service_ms"),
     ({"cloud_service_ms": -0.5}, "cloud_service_ms"),
     ({"latency": {"jitter_sensor_ms": 3.33}}, "latency"),
-    ({"drop_probability": 1.0}, "top level"),
+    ({"drop_probability": 1.0}, "drop_probability"),
     ([], "top level"),  # a document that is not an object
 ])
 def test_bad_values_rejected_at_load_with_path(doc, path):

@@ -476,20 +476,21 @@ def test_operator_mode_set_empties_the_windows_only_on_a_change():
 
 
 def test_provisioned_nodes_takes_a_list_of_ids_or_one_id():
-    gateway = Simulator(scenario()).gateway
+    sim = Simulator(scenario())
 
     def status(method, value=None):
         cmd = PropertyCommand("gateway", "provisioned_nodes", PropertyMethod(method), value)
-        return gateway.apply_command(cmd).status
+        status, _ = sim.apply_gateway_command(cmd)
+        return status
 
     assert status("SET", ["a", "b"]) == "ok"
     assert status("ADD", "c") == "ok"
     for method, bad in (("SET", 5), ("SET", "abc"), ("SET", {"a": 1}), ("SET", ["a", 1]),
                         ("SET", None), ("ADD", None), ("ADD", 5), ("ADD", ["d"])):
         assert status(method, bad) == "invalid-value", (method, bad)
-    assert gateway.provisioned_nodes == ["a", "b", "c"]
+    assert sim.provisioned_nodes == ["a", "b", "c"]
     get = PropertyCommand("gateway", "provisioned_nodes", PropertyMethod.GET)
-    assert gateway.apply_command(get).value == ["a", "b", "c"]
+    assert sim.apply_gateway_command(get) == ("ok", ["a", "b", "c"])
 
 
 # -- battery exhaustion -------------------------------------------------------

@@ -74,6 +74,7 @@ def test_update_resets_on_mode_change():
     tracker = AnomalyTracker(bits=0b1011, length=7, depth=8)
     updated = update_history(tracker, 1, False)
     assert (updated.bits, updated.length, updated.depth) == (0, 0, 8)
+    assert updated is new_tracker(8)  # the shared empty window, not a new one
 
 
 def test_update_rejects_non_bit():

@@ -87,25 +87,24 @@ def test_command_time_must_be_finite_and_non_negative():
 def test_get_sleep_period_default():
     # one default, declared on the node and read by the scenario's node config
     node = SensorNode(node_id="n0")
-    response = node.apply_command(cmd("sleep_period", "GET"))
-    assert response.ok and response.value == NodeConfig().sleep_period_ms == 0.0
+    status, value = node.apply_command(cmd("sleep_period", "GET"))
+    assert status == "ok" and value == NodeConfig().sleep_period_ms == 0.0
 
 
 def test_set_sleep_period():
     node = SensorNode(node_id="n0")
-    assert node.apply_command(cmd("sleep_period", "SET", 5_000)).ok
+    assert node.apply_command(cmd("sleep_period", "SET", 5_000)) == ("ok", None)
     assert node.sleep_period_ms == 5_000.0
     for bad in (-1, "nan", "inf", float("nan"), float("inf"), 10**400, True, "5000", None, [1]):
-        assert node.apply_command(cmd("sleep_period", "SET", bad)).status == "invalid-value"
+        assert node.apply_command(cmd("sleep_period", "SET", bad)) == ("invalid-value", None)
     assert node.sleep_period_ms == 5_000.0
 
 
 def test_set_inference_mode_sets_the_mode():
     node = working_node()
-    response = node.apply_command(cmd("inference_mode", "SET", "G"))
-    assert response.ok
+    assert node.apply_command(cmd("inference_mode", "SET", "G")) == ("ok", None)
     assert node.mode is G
-    assert node.apply_command(cmd("inference_mode", "SET", "G")).ok  # same mode: a no-op
+    assert node.apply_command(cmd("inference_mode", "SET", "G")) == ("ok", None)  # same mode: no-op
     assert node.mode is G
 
 
@@ -124,7 +123,7 @@ def delivered_mode_set(mode: str):
         window = update_history(window, bit, True)
     sim.tiers[S].trackers["node-0"] = window
     assert window.length == 4
-    sim.gateway.pending_commands.setdefault("node-0", deque()).append(
+    sim.pending_commands.setdefault("node-0", deque()).append(
         PropertyCommand("node-0", "inference_mode", PropertyMethod.SET, mode))
     sim._deliver_pending_commands(node)
     return sim, node
@@ -146,40 +145,39 @@ def test_set_same_mode_keeps_tracker():
 
 def test_sensor_id_is_get_only():
     node = SensorNode(node_id="n0")
-    assert node.apply_command(cmd("sensor_id", "GET")).value == "n0"
-    assert node.apply_command(cmd("sensor_id", "SET", "x")).status == "method-not-allowed"
+    assert node.apply_command(cmd("sensor_id", "GET")) == ("ok", "n0")
+    assert node.apply_command(cmd("sensor_id", "SET", "x")) == ("method-not-allowed", None)
 
 
 def test_set_state_drives_state_machine():
     node = working_node()
-    response = node.apply_command(cmd("state", "SET", "IDLE"))
-    assert response.ok and node.state is NodeState.IDLE
-    assert response.value is LifecycleEvent.IDLE_COMMAND
+    status, event = node.apply_command(cmd("state", "SET", "IDLE"))
+    assert status == "ok" and node.state is NodeState.IDLE
+    assert event is LifecycleEvent.IDLE_COMMAND
     # no edge from IDLE to WORKING
-    assert node.apply_command(cmd("state", "SET", "WORKING")).status == "protocol-violation"
+    assert node.apply_command(cmd("state", "SET", "WORKING")) == ("protocol-violation", None)
     assert node.state is NodeState.IDLE
-    assert node.apply_command(cmd("state", "SET", "BROKEN")).status == "invalid-value"
+    assert node.apply_command(cmd("state", "SET", "BROKEN")) == ("invalid-value", None)
     assert node.state is NodeState.IDLE
 
 
 def test_unknown_property_and_gateway_target():
     node = SensorNode(node_id="n0")
-    assert node.apply_command(cmd("nonsense", "GET")).status == "unknown-property"
-    assert node.apply_command(cmd("gateway_id", "GET")).status == "unknown-property"
+    assert node.apply_command(cmd("nonsense", "GET")) == ("unknown-property", None)
+    assert node.apply_command(cmd("gateway_id", "GET")) == ("unknown-property", None)
 
 
 def test_model_properties_recorded():
     node = SensorNode(node_id="n0")
-    assert node.apply_command(cmd("tf_model_size", "SET", 30_720)).ok
-    assert node.apply_command(cmd("tf_model_bytes", "GET")).status == "method-not-allowed"
+    assert node.apply_command(cmd("tf_model_size", "SET", 30_720)) == ("ok", None)
+    assert node.apply_command(cmd("tf_model_bytes", "GET")) == ("method-not-allowed", None)
 
 
 def test_property_table_matches_registry_contract():
-    assert PROPERTY_TABLE["provisioned_nodes"].methods == {
-        PropertyMethod.SET, PropertyMethod.GET, PropertyMethod.ADD
-    }
-    assert PROPERTY_TABLE["inference_mode"].target == "sensor"
-    assert PROPERTY_TABLE["gateway_id"].target == "gateway"
+    assert PROPERTY_TABLE["provisioned_nodes"] == (
+        "gateway", {PropertyMethod.SET, PropertyMethod.GET, PropertyMethod.ADD})
+    assert PROPERTY_TABLE["inference_mode"][0] == "sensor"
+    assert PROPERTY_TABLE["gateway_id"] == ("gateway", {PropertyMethod.GET})
     assert len(PROPERTY_TABLE) == 8
 
 
@@ -254,28 +252,29 @@ def test_cycle_index_increments():
 def test_cycle_steps_are_reused_while_mode_and_sleep_period_hold():
     node = working_node(sleep_period_ms=30_000.0)
     steps = node.plan_cycle(TABLE)
-    assert [(s.kind, s.detail) for s in steps] == [
+    assert [(kind, detail) for kind, _, _, _, detail in steps] == [
         ("sleep", "duration_ms=30000.0"), ("sample", "duration_ms=10000.0"),
         ("infer-local", "duration_ms=14.0"),
     ]
     assert node.plan_cycle(TABLE) is steps
-    assert node.apply_command(cmd("sleep_period", "GET")).ok
+    assert node.apply_command(cmd("sleep_period", "GET")) == ("ok", 30_000.0)
     assert node.plan_cycle(TABLE) is steps
 
 
 def test_cycle_steps_are_rebuilt_after_sleep_period_and_mode_changes():
     node = working_node(sleep_period_ms=0.0)
     steps = node.plan_cycle(TABLE)
-    assert node.apply_command(cmd("sleep_period", "SET", -0.0)).ok
+    assert node.apply_command(cmd("sleep_period", "SET", -0.0)) == ("ok", None)
     negative_zero = node.plan_cycle(TABLE)  # equal to 0.0, but printed as -0.0
     assert negative_zero is not steps
-    assert negative_zero[0].detail == "duration_ms=-0.0"
-    assert node.apply_command(cmd("sleep_period", "SET", 5_000)).ok
+    assert negative_zero[0][4] == "duration_ms=-0.0"
+    assert node.apply_command(cmd("sleep_period", "SET", 5_000)) == ("ok", None)
     slept = node.plan_cycle(TABLE)
-    assert slept[0].duration_ms == 5_000.0 and slept[0].detail == "duration_ms=5000.0"
-    assert node.apply_command(cmd("inference_mode", "SET", "G")).ok
+    assert slept[0] == ("sleep", 5_000.0, "deep_sleep", TABLE.sleep_energy_mj(5_000.0),
+                        "duration_ms=5000.0")
+    assert node.apply_command(cmd("inference_mode", "SET", "G")) == ("ok", None)
     offboard = node.plan_cycle(TABLE)
-    assert [s.kind for s in offboard] == ["sleep", "sample", "compress", "radio-tx"]
+    assert [step[0] for step in offboard] == ["sleep", "sample", "compress", "radio-tx"]
     assert offboard[0] == slept[0]
 
 

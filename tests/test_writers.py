@@ -32,6 +32,7 @@ from tiersim.heuristics import update_history
 from tiersim.model import AnomalyTracker, SimEvent, new_tracker
 from tiersim.summary import (
     ARTIFACTS,
+    RESPONSE_KINDS,
     TRACE_COLUMNS,
     WRITE_CHUNK_ROWS,
     ArtifactSink,
@@ -170,9 +171,12 @@ def test_every_row_is_written_once_across_chunk_boundaries(tmp_path, name, n):
 
 
 file_texts = st.one_of(st.sampled_from(FILE_TEXT), st.text(max_size=12))
-#: Records whose latency samples the summary fold can file: every mode is a tier's.
+#: Records whose latency samples the summary fold can file: every mode is a tier's, and
+#: no kind is a response, which the fold rejects without a request before it.
 sink_events = st.builds(
-    SimEvent, floats, file_texts, st.sampled_from(["predict", "op", "mode-change"]) | file_texts,
+    SimEvent, floats, file_texts,
+    st.sampled_from(["predict", "op", "mode-change"]) | file_texts.filter(
+        lambda kind: kind not in RESPONSE_KINDS),
     st.sampled_from("SGC"), st.none() | file_texts, st.none() | file_texts,
     st.none() | counts, st.none() | counts, st.none() | counts,
     st.none() | floats, st.none() | floats, st.none() | file_texts,
@@ -214,17 +218,45 @@ def test_sink_writes_what_the_standalone_writers_write(records, entries, cuts, s
             assert (streamed / name).read_bytes() == (whole / name).read_bytes(), name
 
 
+def _jsonl(records) -> str:
+    return "".join(json.dumps(dict(zip(JSONL_KEYS, astuple(r))), sort_keys=True) + "\n"
+                   for r in records)
+
+
 def test_a_number_equal_to_a_float_keeps_its_own_text():
     # 5 == 5.0 and True == 1.0 as dict keys, so neither may share a float's text
     records = [SimEvent(5, "n", "k", latency_ms=5.0, battery_pct=True),
                SimEvent(5.0, "n", "k", latency_ms=5, battery_pct=1.0)]
     assert _written(write_trace_csv, records) == "".join(
         _csv_line(astuple(r)[:len(TRACE_COLUMNS)]) for r in records)
+    # a JSON line writes a bool as JSON's true, which repr's True is not
+    assert _written(write_trace_jsonl, records) == _jsonl(records)
+    assert json.loads(_written(write_trace_jsonl, records[:1]))["battery_pct"] is True
+    records = [SimEvent(5, "n", "k", latency_ms=5.0), SimEvent(5.0, "n", "k", latency_ms=5)]
+    assert _written(write_trace_jsonl, records) == _jsonl(records)
     records = [SimEvent(5, "n", "k"), SimEvent(5.0, "n", "k")]
     assert [line.split(", ")[-1] for line in _written(write_trace_jsonl, records).splitlines()] \
         == ['"timestamp_ms": 5}', '"timestamp_ms": 5.0}']
-    assert _written(write_trace_jsonl, records) == "".join(
-        json.dumps(dict(zip(JSONL_KEYS, astuple(r))), sort_keys=True) + "\n" for r in records)
+    assert _written(write_trace_jsonl, records) == _jsonl(records)
+
+
+numbers = st.one_of(floats, counts, st.booleans())
+mixed_events = st.builds(
+    SimEvent, numbers, texts, texts, st.none() | texts, st.none() | texts, st.none() | texts,
+    st.none() | numbers, st.none() | numbers, st.none() | numbers,
+    st.none() | numbers, st.none() | numbers, st.none() | texts,
+)
+
+
+@EXAMPLES
+@example(records=[SimEvent(1, "n", "k", tau=1, sigma=True, queue_len=1.0),
+                  SimEvent(True, "n", "k", tau=True, sigma=1.0, queue_len=1)])
+@given(st.lists(mixed_events, max_size=12))
+def test_an_int_a_bool_and_a_float_in_any_number_column_keep_their_own_text(records):
+    # equal numbers of different types must not share a cell in a count column either
+    assert _written(write_trace_jsonl, records) == _jsonl(records)
+    assert _written(write_trace_csv, records) == "".join(
+        _csv_line(astuple(r)[:len(TRACE_COLUMNS)]) for r in records)
 
 
 def _write_peak(write, rows) -> int:
