@@ -18,7 +18,16 @@ MAX_HISTORY_DEPTH = 64  # history must fit one machine word
 
 
 class ConfigurationError(ValueError):
-    """Raised when a parameter or scenario value violates its contract."""
+    """Raised when a parameter or scenario value violates its contract.
+
+    ``path`` holds the JSON keys and list indices of the offending value,
+    outermost first, relative to the object whose check raised; the
+    scenario loader adds each enclosing key as the error leaves it.
+    """
+
+    def __init__(self, message: str, *path: str | int) -> None:
+        super().__init__(message)
+        self.path = path
 
 
 class SimulationError(RuntimeError):

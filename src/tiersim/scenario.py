@@ -54,14 +54,6 @@ class NodeConfig:
         return BatteryState(capacity_j=self.battery_capacity_j)
 
 
-class _EntryError(ConfigurationError):
-    """A check of a whole object that one entry of it fails; ``where`` names the entry."""
-
-    def __init__(self, where: str, message: str) -> None:
-        super().__init__(message)
-        self.where = where
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Validated inputs for one simulation run."""
@@ -99,42 +91,46 @@ class Scenario:
                      "cloud_service_ms"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
-                raise _EntryError(name, f"{name} must be finite and >= 0, got {value}")
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}", name)
         if not 0 < self.request_timeout_ms < math.inf:
-            raise _EntryError("request_timeout_ms", "request_timeout_ms must be finite and > 0, "
-                              f"got {self.request_timeout_ms}")
+            raise ConfigurationError("request_timeout_ms must be finite and > 0, "
+                                     f"got {self.request_timeout_ms}", "request_timeout_ms")
         if not 0.0 <= self.drop_probability < 1.0:
-            raise _EntryError("drop_probability",
-                              f"drop_probability must be in [0, 1), got {self.drop_probability}")
+            raise ConfigurationError(
+                f"drop_probability must be in [0, 1), got {self.drop_probability}",
+                "drop_probability")
         try:  # every stream's seed is derived from the seed's decimal text
             str(self.seed)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise _EntryError(
-                "seed", f"seed has more than {sys.get_int_max_str_digits()} decimal digits"
+            raise ConfigurationError(
+                f"seed has more than {sys.get_int_max_str_digits()} decimal digits", "seed"
             ) from None
         seen = set()
         for i, cfg in enumerate(self.nodes):
             if cfg.node_id in seen:
-                raise _EntryError(f"nodes[{i}]", f"duplicate node id {cfg.node_id!r}")
+                raise ConfigurationError(f"duplicate node id {cfg.node_id!r}", "nodes", i)
             seen.add(cfg.node_id)
         for mode in InferenceMode:
             if mode not in self.profiles:
                 raise ConfigurationError(f"missing accuracy profile for mode {mode.value}")
         for i, label in enumerate(self.anomaly_labels):
             if label not in (0, 1, 2, 3):
-                raise _EntryError(f"anomaly_labels[{i}]", f"anomaly label {label} outside 0..3")
+                raise ConfigurationError(f"anomaly label {label} outside 0..3",
+                                         "anomaly_labels", i)
         if self.poll_every_cycles < 1:
-            raise _EntryError("poll.every_cycles",
-                              f"poll_every_cycles must be >= 1, got {self.poll_every_cycles}")
+            raise ConfigurationError(
+                f"poll_every_cycles must be >= 1, got {self.poll_every_cycles}",
+                "poll", "every_cycles")
         if not 0.0 <= self.empty_poll_fraction <= 1.0:
-            raise _EntryError("poll.empty_fraction", "empty_poll_fraction must be in [0, 1], "
-                              f"got {self.empty_poll_fraction}")
+            raise ConfigurationError("empty_poll_fraction must be in [0, 1], "
+                                     f"got {self.empty_poll_fraction}", "poll", "empty_fraction")
         try:  # the process's own checks, which the engine repeats per node
             GroundTruthProcess(anomaly_probability=self.anomaly_probability,
                                healthy_split=self.healthy_split,
                                degraded_split=self.degraded_split)
         except ConfigurationError as err:
-            raise _EntryError("ground_truth", str(err)) from None
+            err.path = ("ground_truth", *err.path)
+            raise
 
 
 # -- JSON loading: the dataclasses above are the schema ---------------------
@@ -155,14 +151,18 @@ _SCENARIO_KEYS = {
 _ENTRY_DEFAULTS = {NodeConfig: lambda i: {"node_id": f"node-{i}"}}
 
 
-class _LocatedError(ConfigurationError):
-    """A load error whose message already names its JSON path."""
+def _member(key: str | int, coerce, value):
+    """``coerce(value)`` for member ``key`` of an object or list; an error gains ``key``."""
+    try:
+        return coerce(value)
+    except ConfigurationError as err:
+        err.path = (key, *err.path)
+        raise
+    except (TypeError, ValueError, OverflowError) as err:  # int(inf), float(10**400)
+        raise ConfigurationError(str(err), key) from None
 
-    def __init__(self, source: str, path: str, err: object) -> None:
-        super().__init__(f"{source}: {path or 'top level'}: {err}")
 
-
-def _float(value, *_) -> float:
+def _float(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"must be a number, got {value!r}")
     number = float(value)
@@ -171,7 +171,7 @@ def _float(value, *_) -> float:
     return number
 
 
-def _int(value, *_) -> int:
+def _int(value) -> int:
     if isinstance(value, bool) or not (
             isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise TypeError(f"must be an integer, got {value!r}")
@@ -180,63 +180,45 @@ def _int(value, *_) -> int:
 
 def _exact(tp: type, expected: str):
     """A coercer that admits only JSON values that already have type ``tp``."""
-    def coerce(value, *_):
+    def coerce(value):
         if not isinstance(value, tp):
             raise TypeError(f"must be {expected}, got {value!r}")
         return value
     return coerce
 
 
-def _method(value, *_) -> PropertyMethod:
+def _method(value) -> PropertyMethod:
     try:  # only a string can name a method
         return PropertyMethod(value)
     except ValueError:
         raise ValueError(f"unknown property method {value!r}") from None
 
 
-#: Coercers of the scalar field types; each takes (value, source, path, key).
+#: Coercers of the scalar field types.
 _SCALARS = {float: _float, int: _int, bool: _exact(bool, "true or false"),
-            str: _exact(str, "a string"), object: lambda value, *_: value,
+            str: _exact(str, "a string"), object: lambda value: value,
             PropertyMethod: _method}
 
 
-def _where(path: str, key: str | int) -> str:
-    """The JSON path of member ``key`` of the object or list found at ``path``."""
-    if isinstance(key, int):
-        return f"{path}[{key}]"
-    return f"{path}.{key}" if path else key
-
-
 def _coercer(tp, f):
-    """How a JSON value becomes field ``f`` of type ``tp``; None if it has no JSON form.
-
-    A coercer takes (value, source, path, key), the value being member
-    ``key`` of the object or list at ``path``; only a coercer that loads
-    an object spells out the value's own path.
-    """
+    """How a JSON value becomes field ``f`` of type ``tp``; None if it has no JSON form."""
     if is_dataclass(tp):  # a frozen default is the base the document's keys merge onto
         base = f.default if isinstance(f.default, tp) else None
-        return lambda value, source, path, key: _load(tp, value, source, _where(path, key), base)
+        return lambda value: _load(tp, value, base)
     origin, args = get_origin(tp), get_args(tp)
     if origin is types.UnionType:  # X | None
         item = _coercer(args[0], f)
-        return lambda value, *at: None if value is None else item(value, *at)
+        return lambda value: None if value is None else item(value)
     if origin is tuple:
         item, start = _coercer(args[0], f), _ENTRY_DEFAULTS.get(args[0])
-
-        def entries(value, source, path, key):
-            where = _where(path, key)
-            return tuple(
-                item({**start(i), **v} if start and isinstance(v, dict) else v, source, where, i)
-                for i, v in enumerate(value))
-        return entries
+        return lambda value: tuple(
+            _member(i, item, {**start(i), **v} if start and isinstance(v, dict) else v)
+            for i, v in enumerate(value))
     if origin is dict:  # an object keyed by enum value; each entry merges onto its default
         defaults = f.default_factory()
-        table = {k.value: (k, lambda value, source, path, key, base=defaults[k]:
-                           _load(args[1], value, source, _where(path, key), base))
+        table = {k.value: (k, lambda value, base=defaults[k]: _load(args[1], value, base))
                  for k in args[0]}
-        return lambda value, source, path, key: _collect(
-            table, value, source, _where(path, key), dict(defaults))
+        return lambda value: _collect(table, value, dict(defaults))
     return _SCALARS.get(tp)
 
 
@@ -255,46 +237,49 @@ def _table(cls) -> dict:
     return table
 
 
-def _collect(table: dict, raw, source: str, path: str, kwargs: dict) -> dict:
+def _collect(table: dict, raw, kwargs: dict) -> dict:
     """Coerce the keys of the JSON object ``raw`` by ``table`` into ``kwargs``."""
     if not isinstance(raw, dict):
-        raise _LocatedError(source, path, f"expected a JSON object, got {type(raw).__name__}")
+        raise ConfigurationError(f"expected a JSON object, got {type(raw).__name__}")
     if not raw.keys() <= table.keys():
         unknown = sorted(raw.keys() - table.keys())
-        raise _LocatedError(source, path, f"unknown field(s) {unknown} (check spelling)")
+        raise ConfigurationError(f"unknown field(s) {unknown} (check spelling)")
     for key, value in raw.items():
         entry = table[key]
         if isinstance(entry, dict):  # a group object: its keys are fields of this class
-            _collect(entry, value, source, _where(path, key), kwargs)
-            continue
-        name, coerce = entry
-        try:
-            kwargs[name] = coerce(value, source, path, key)
-        except _LocatedError:
-            raise
-        except (TypeError, ValueError, OverflowError) as err:  # int(inf), float(10**400)
-            raise _LocatedError(source, _where(path, key), err) from None
+            _member(key, lambda group: _collect(entry, group, kwargs), value)
+        else:
+            kwargs[entry[0]] = _member(key, entry[1], value)
     return kwargs
 
 
-def _load(cls, raw, source: str, path: str, base=None):
-    """Build ``cls`` from the JSON object ``raw`` found at ``path``.
+def _load(cls, raw, base=None):
+    """Build ``cls`` from the JSON object ``raw``.
 
     Only the keys present are passed on, so an absent key keeps the
     field's default, or ``base``'s value when ``base`` is given.
     """
-    kwargs = _collect(_table(cls), raw, source, path, {})
+    kwargs = _collect(_table(cls), raw, {})
+    return cls(**kwargs) if base is None else replace(base, **kwargs)
+
+
+def _load_scenario(raw, source: str, base: Scenario | None = None) -> Scenario:
+    """``_load(Scenario, ...)`` whose error text names ``source`` and the JSON path."""
     try:
-        return cls(**kwargs) if base is None else replace(base, **kwargs)
-    except _EntryError as err:
-        raise _LocatedError(source, f"{path}.{err.where}" if path else err.where, err) from None
-    except (TypeError, ValueError) as err:
-        raise _LocatedError(source, path, err) from None
+        return _load(Scenario, raw, base)
+    except ConfigurationError as err:
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in err.path)
+        raise ConfigurationError(f"{source}: {where[1:] or 'top level'}: {err}",
+                                 *err.path) from None
 
 
 def scenario_from_dict(data: dict, source: str = "<scenario>") -> Scenario:
-    """Build and validate a Scenario from parsed JSON, defaulting omitted fields."""
-    return _load(Scenario, data, source, "")
+    """Build and validate a Scenario from parsed JSON, defaulting omitted fields.
+
+    A ConfigurationError reads ``source: path: message``; its ``path``
+    holds the offending value's JSON keys and list indices.
+    """
+    return _load_scenario(data, source)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -357,5 +342,5 @@ def with_overrides(
 ) -> Scenario:
     """Apply command-line overrides with the same checks as file values."""
     overrides = {"seed": seed, "duration_ms": duration_ms}
-    return _load(Scenario, {k: v for k, v in overrides.items() if v is not None},
-                 "<command line>", "", scenario)
+    return _load_scenario({k: v for k, v in overrides.items() if v is not None},
+                          "<command line>", scenario)
