@@ -54,12 +54,12 @@ class EnergyTable:
     def __post_init__(self) -> None:
         if not 0 < self.deep_sleep_current_ua < math.inf:
             raise ConfigurationError(
-                f"deep sleep current must be finite and > 0 uA, got {self.deep_sleep_current_ua}"
-            )
+                f"deep sleep current must be finite and > 0 uA, got {self.deep_sleep_current_ua}",
+                "deep_sleep_current_ua")
         if not 0 < self.supply_voltage_v < math.inf:
             raise ConfigurationError(
-                f"supply voltage must be finite and > 0 V, got {self.supply_voltage_v}"
-            )
+                f"supply voltage must be finite and > 0 V, got {self.supply_voltage_v}",
+                "supply_voltage_v")
 
     def sleep_energy_mj(self, sleep_ms: float) -> float:
         """Deep-sleep energy for a sleep phase of the given duration."""

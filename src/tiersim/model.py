@@ -46,11 +46,12 @@ class InferenceMode(enum.Enum):
     CLOUD = "C"
 
     @classmethod
-    def parse(cls, text: str) -> "InferenceMode":
+    def parse(cls, text: str, *path: str | int) -> "InferenceMode":
+        """The mode spelled ``text``; an error carries ``path``, the JSON path of ``text``."""
         try:
             return cls(text)
         except ValueError:
-            raise ConfigurationError(f"unknown inference mode {text!r}") from None
+            raise ConfigurationError(f"unknown inference mode {text!r}", *path) from None
 
 
 class NodeState(enum.Enum):
@@ -89,7 +90,7 @@ def check_node_id(node_id: str) -> None:
     if not node_id or _BAD_NODE_ID_CHAR.search(node_id):
         raise ConfigurationError(
             f"node id {node_id!r} must be non-empty, free of commas/newlines and "
-            "encodable as UTF-8 (it names CSV rows)"
+            "encodable as UTF-8 (it names CSV rows)", "node_id"
         )
 
 
@@ -152,13 +153,13 @@ class HeuristicParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.low_battery_pct < 100.0:
             raise ConfigurationError(
-                f"low_battery_pct must be in (0, 100), got {self.low_battery_pct}"
-            )
+                f"low_battery_pct must be in (0, 100), got {self.low_battery_pct}",
+                "low_battery_pct")
         for name in ("history_depth_sensor", "history_depth_gateway", "history_depth_cloud"):
             depth = getattr(self, name)
             if not 1 <= depth <= MAX_HISTORY_DEPTH:
                 raise ConfigurationError(
-                    f"{name} must be in 1..{MAX_HISTORY_DEPTH}, got {depth}"
+                    f"{name} must be in 1..{MAX_HISTORY_DEPTH}, got {depth}", name
                 )
         if not 0 < self.sensor_escalate_count <= self.history_depth_sensor:
             raise ConfigurationError(
@@ -181,7 +182,8 @@ class HeuristicParams:
                 f"0 < value <= history_depth_cloud, got {self.cloud_deescalate_count}"
             )
         if self.queue_limit < 1:
-            raise ConfigurationError(f"queue_limit must be >= 1, got {self.queue_limit}")
+            raise ConfigurationError(f"queue_limit must be >= 1, got {self.queue_limit}",
+                                     "queue_limit")
 
 
 @dataclass(frozen=True)
@@ -204,7 +206,7 @@ class LatencyModel:
         # NaN fails every comparison, so these also reject it
         for name in ("sensor_ms", "gateway_ms", "cloud_ms"):
             if not 0 < getattr(self, name) < math.inf:
-                raise ConfigurationError(f"latency {name} must be finite and > 0")
+                raise ConfigurationError(f"latency {name} must be finite and > 0", name)
         for mode, jitter, constant in (("S", self.jitter_sensor_ms, self.sensor_ms),
                                        ("G", self.jitter_gateway_ms, self.gateway_ms),
                                        ("C", self.jitter_cloud_ms, self.cloud_ms)):

@@ -90,7 +90,7 @@ class PropertyCommand:
     def __post_init__(self) -> None:
         check_node_id(self.node_id)  # an unknown node's id is written to the trace
         if not math.isfinite(self.at_ms) or self.at_ms < 0:  # NaN would stall the event loop
-            raise ConfigurationError(f"at_ms must be finite and >= 0, got {self.at_ms}")
+            raise ConfigurationError(f"at_ms must be finite and >= 0, got {self.at_ms}", "at_ms")
 
 
 @dataclass

@@ -51,12 +51,15 @@ class TierAccuracyProfile:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.accuracy <= 1.0:
-            raise ConfigurationError(f"accuracy must be in [0, 1], got {self.accuracy}")
+            raise ConfigurationError(f"accuracy must be in [0, 1], got {self.accuracy}",
+                                     "accuracy")
         if len(self.recall_per_class) != 4:
-            raise ConfigurationError("recall_per_class must have exactly 4 entries")
-        for r in self.recall_per_class:
+            raise ConfigurationError("recall_per_class must have exactly 4 entries",
+                                     "recall_per_class")
+        for i, r in enumerate(self.recall_per_class):
             if not 0.0 <= r <= 1.0:
-                raise ConfigurationError(f"recall must be in [0, 1], got {r}")
+                raise ConfigurationError(f"recall must be in [0, 1], got {r}",
+                                         "recall_per_class", i)
 
     @classmethod
     def perfect(cls, tier: InferenceMode) -> "TierAccuracyProfile":
@@ -95,7 +98,7 @@ class GroundTruthProcess:
         for name in ("anomaly_probability", "healthy_split", "degraded_split"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
+                raise ConfigurationError(f"{name} must be in [0, 1], got {value}", name)
 
 
 def draw_ground_truth(process: GroundTruthProcess, step: int) -> ConditionLabel:

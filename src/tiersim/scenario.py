@@ -39,16 +39,12 @@ class NodeConfig:
 
     def __post_init__(self) -> None:
         check_node_id(self.node_id)
-        InferenceMode.parse(self.initial_mode)
+        InferenceMode.parse(self.initial_mode, "initial_mode")
         # NaN fails every comparison, so these also reject it
-        if not 0 <= self.battery_capacity_j < math.inf:
-            raise ConfigurationError(
-                f"battery_capacity_j must be finite and >= 0, got {self.battery_capacity_j}"
-            )
-        if not 0 <= self.sleep_period_ms < math.inf:
-            raise ConfigurationError(
-                f"sleep_period_ms must be finite and >= 0, got {self.sleep_period_ms}"
-            )
+        for name in ("battery_capacity_j", "sleep_period_ms"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}", name)
 
     def make_battery(self) -> BatteryState:
         return BatteryState(capacity_j=self.battery_capacity_j)
@@ -96,9 +92,8 @@ class Scenario:
             raise ConfigurationError("request_timeout_ms must be finite and > 0, "
                                      f"got {self.request_timeout_ms}", "request_timeout_ms")
         if not 0.0 <= self.drop_probability < 1.0:
-            raise ConfigurationError(
-                f"drop_probability must be in [0, 1), got {self.drop_probability}",
-                "drop_probability")
+            raise ConfigurationError("drop_probability must be in [0, 1), "
+                                     f"got {self.drop_probability}", "drop_probability")
         try:  # every stream's seed is derived from the seed's decimal text
             str(self.seed)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
@@ -110,17 +105,21 @@ class Scenario:
             if cfg.node_id in seen:
                 raise ConfigurationError(f"duplicate node id {cfg.node_id!r}", "nodes", i)
             seen.add(cfg.node_id)
-        for mode in InferenceMode:
+        for mode in InferenceMode:  # an oracle seeds its stream from its profile's tier
             if mode not in self.profiles:
-                raise ConfigurationError(f"missing accuracy profile for mode {mode.value}")
+                raise ConfigurationError(f"missing accuracy profile for mode {mode.value}",
+                                         "profiles")
+            if (tier := self.profiles[mode].tier) is not mode:
+                raise ConfigurationError(
+                    f"accuracy profile for mode {mode.value} is for tier {tier.value}",
+                    "profiles", mode.value)
         for i, label in enumerate(self.anomaly_labels):
             if label not in (0, 1, 2, 3):
                 raise ConfigurationError(f"anomaly label {label} outside 0..3",
                                          "anomaly_labels", i)
         if self.poll_every_cycles < 1:
-            raise ConfigurationError(
-                f"poll_every_cycles must be >= 1, got {self.poll_every_cycles}",
-                "poll", "every_cycles")
+            raise ConfigurationError("poll_every_cycles must be >= 1, "
+                                     f"got {self.poll_every_cycles}", "poll", "every_cycles")
         if not 0.0 <= self.empty_poll_fraction <= 1.0:
             raise ConfigurationError("empty_poll_fraction must be in [0, 1], "
                                      f"got {self.empty_poll_fraction}", "poll", "empty_fraction")
@@ -209,11 +208,12 @@ def _coercer(tp, f):
     if origin is types.UnionType:  # X | None
         item = _coercer(args[0], f)
         return lambda value: None if value is None else item(value)
-    if origin is tuple:
+    if origin is tuple:  # only a JSON list: a string or an object would iterate too
         item, start = _coercer(args[0], f), _ENTRY_DEFAULTS.get(args[0])
+        as_list = _exact(list, "a list")
         return lambda value: tuple(
             _member(i, item, {**start(i), **v} if start and isinstance(v, dict) else v)
-            for i, v in enumerate(value))
+            for i, v in enumerate(as_list(value)))
     if origin is dict:  # an object keyed by enum value; each entry merges onto its default
         defaults = f.default_factory()
         table = {k.value: (k, lambda value, base=defaults[k]: _load(args[1], value, base))
@@ -263,7 +263,7 @@ def _load(cls, raw, base=None):
     return cls(**kwargs) if base is None else replace(base, **kwargs)
 
 
-def _load_scenario(raw, source: str, base: Scenario | None = None) -> Scenario:
+def _build_scenario(raw, source: str, base: Scenario | None = None) -> Scenario:
     """``_load(Scenario, ...)`` whose error text names ``source`` and the JSON path."""
     try:
         return _load(Scenario, raw, base)
@@ -279,7 +279,7 @@ def scenario_from_dict(data: dict, source: str = "<scenario>") -> Scenario:
     A ConfigurationError reads ``source: path: message``; its ``path``
     holds the offending value's JSON keys and list indices.
     """
-    return _load_scenario(data, source)
+    return _build_scenario(data, source)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -342,5 +342,5 @@ def with_overrides(
 ) -> Scenario:
     """Apply command-line overrides with the same checks as file values."""
     overrides = {"seed": seed, "duration_ms": duration_ms}
-    return _load_scenario({k: v for k, v in overrides.items() if v is not None},
-                          "<command line>", scenario)
+    return _build_scenario({k: v for k, v in overrides.items() if v is not None},
+                           "<command line>", scenario)

@@ -1,5 +1,6 @@
 """Tests for scenario loading and the command-line interface."""
 
+import copy
 import json
 import math
 import re
@@ -14,6 +15,7 @@ import tiersim.cli
 import tiersim.engine
 import tiersim.summary
 from tiersim import (
+    DEFAULT_PROFILES,
     ConfigurationError,
     HeuristicParams,
     InferenceMode,
@@ -56,14 +58,58 @@ def test_empty_document_reproduces_reference_setup():
     assert scenario.profiles[C].accuracy == 0.9938
 
 
-def test_readme_schema_documents_the_defaults():
+def _readme_document() -> dict:
+    """The scenario document that README's schema block spells out."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Scenario files", 1)[1].split("```jsonc", 1)[1].split("```", 1)[0]
-    scenario = scenario_from_dict(json.loads(re.sub(r"//.*", "", block)))
+    return json.loads(re.sub(r"//.*", "", block))
+
+
+def test_readme_schema_documents_the_defaults():
+    scenario = scenario_from_dict(_readme_document())
     # the documented command is an example; by default there are none
     assert scenario.commands == (
         PropertyCommand("node-0", "sleep_period", value=5000, at_ms=60_000.0),)
     assert replace(scenario, commands=()) == Scenario()
+
+
+def _member_paths(value, path=()):
+    """The JSON path of every member of every object and list in ``value``."""
+    for key, member in value.items() if isinstance(value, dict) else enumerate(value):
+        yield (*path, key)
+        if isinstance(member, (dict, list)):
+            yield from _member_paths(member, (*path, key))
+
+
+#: Members whose range check reads another field too, so it names their object.
+_CROSS_FIELD = {
+    **{("heuristics", f"{key}_count"): ("heuristics",) for key in (
+        "sensor_escalate", "gateway_deescalate", "gateway_escalate", "cloud_deescalate")},
+    **{("latency", f"jitter_{tier}_ms"): ("latency",) for tier in ("sensor", "gateway", "cloud")},
+    **{("energy", op, key): ("energy", op)
+       for op in ("sampling", "local_inference", "compression", "radio_tx")
+       for key in ("duration_ms", "energy_mj")},
+}
+
+
+@pytest.mark.parametrize("bad", ["x", True, -1, math.nan], ids=repr)
+def test_every_readme_value_loads_or_is_rejected_at_its_path(bad):
+    document, checked = _readme_document(), 0
+    for path in _member_paths(document):
+        doc = copy.deepcopy(document)
+        *outer, last = path
+        parent = doc
+        for key in outer:
+            parent = parent[key]
+        parent[last] = bad
+        try:
+            scenario_from_dict(doc)
+        except ConfigurationError as err:
+            assert err.path in (path, _CROSS_FIELD.get(path)), (path, str(err))
+            text = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in err.path)
+            assert str(err).startswith(f"<scenario>: {text[1:]}: "), str(err)
+            checked += 1
+    assert checked >= 75  # nearly every value rejects each of the four
 
 
 def test_scenario_overrides_apply(tmp_path):
@@ -167,13 +213,15 @@ def test_invalid_values_rejected():
     with pytest.raises(ConfigurationError, match=re.escape(
             "<scenario>: request_timeout_ms: request_timeout_ms must be finite and > 0, got 0.0")):
         scenario_from_dict({"request_timeout_ms": 0})
-    with pytest.raises(ConfigurationError, match=r"^<scenario>: nodes\[0\]: unknown inference"):
+    with pytest.raises(ConfigurationError,
+                       match=r"^<scenario>: nodes\[0\]\.initial_mode: unknown inference"):
         scenario_from_dict({"nodes": [{"initial_mode": "Z"}]})
     with pytest.raises(ConfigurationError, match=r"^<scenario>: heuristics: gateway"):
         scenario_from_dict({"heuristics": {"gateway_escalate_count": 3}})
     with pytest.raises(ConfigurationError, match=r"^<scenario>: commands\[0\]: .*'name'"):
         scenario_from_dict({"commands": [{"node_id": "n"}]})
-    with pytest.raises(ConfigurationError, match=r"^<scenario>: nodes\[1\]: node id 'a,b'"):
+    with pytest.raises(ConfigurationError,
+                       match=r"^<scenario>: nodes\[1\]\.node_id: node id 'a,b'"):
         scenario_from_dict({"nodes": [{}, {"node_id": "a,b"}]})  # would corrupt the CSV
     with pytest.raises(ConfigurationError, match=r"^<scenario>: energy\.radio_tx: operation"):
         scenario_from_dict({"energy": {"radio_tx": {"energy_mj": -1}}})
@@ -199,7 +247,9 @@ def test_invalid_values_rejected():
     ({"out_dir": 5}, "out_dir"),
     ({"adaptive": "false"}, "adaptive"),
     ({"poll": {"enabled": 0}}, "poll.enabled"),
-    ({"commands": [{"at_ms": -5, "node_id": "node-0", "name": "state"}]}, "commands[0]"),
+    # a case's id keeps the path it had when range errors named only their object
+    pytest.param({"commands": [{"at_ms": -5, "node_id": "node-0", "name": "state"}]},
+                 "commands[0].at_ms", id="doc6-commands[0]"),
     ({"nodes": [{"node_id": None}]}, "nodes[0].node_id"),  # loaded as "None"
     ({"seed": 2.5}, "seed"),  # loaded as 2
     ({"seed": True}, "seed"),  # loaded as 1
@@ -208,20 +258,27 @@ def test_invalid_values_rejected():
     ({"duration_ms": "60000"}, "duration_ms"),  # loaded as 60000.0
     ({"duration_ms": True}, "duration_ms"),  # loaded as 1.0
     ({"nodes": [{"sleep_period_ms": " 1e3 "}]}, "nodes[0].sleep_period_ms"),  # loaded as 1000.0
-    ({"ground_truth": {"healthy_split": 2.0}}, "ground_truth"),  # crashed the engine
-    ({"ground_truth": {"degraded_split": -0.5}, "nodes": []}, "ground_truth"),  # ran
-    ({"ground_truth": {"anomaly_probability": 1.5}}, "ground_truth"),
+    pytest.param({"ground_truth": {"healthy_split": 2.0}}, "ground_truth.healthy_split",
+                 id="doc15-ground_truth"),  # crashed the engine
+    pytest.param({"ground_truth": {"degraded_split": -0.5}, "nodes": []},
+                 "ground_truth.degraded_split", id="doc16-ground_truth"),  # ran
+    pytest.param({"ground_truth": {"anomaly_probability": 1.5}},
+                 "ground_truth.anomaly_probability", id="doc17-ground_truth"),
     ({"commands": [{"node_id": "n", "name": "state", "method": "PUT"}]}, "commands[0].method"),
     ({"commands": [{"node_id": "n", "name": "state", "method": 1}]}, "commands[0].method"),
     # one node-id rule for nodes and commands
-    ({"duration_ms": 60000, "nodes": [{"node_id": "a"}], "commands": [
+    pytest.param({"duration_ms": 60000, "nodes": [{"node_id": "a"}], "commands": [
         {"at_ms": 10, "node_id": "gh,o\"st\n", "name": "sleep_period", "value": 5}]},
-     "commands[0]"),  # wrote a trace.csv row read_trace_csv rejects
-    ({"nodes": [{"node_id": "a\ud800"}]}, "nodes[0]"),  # crashed deriving the node's seeds
-    ({"commands": [{"node_id": "a\ud800", "name": "state"}]}, "commands[0]"),
-    ({"commands": [{"node_id": "", "name": "state"}]}, "commands[0]"),
-    ({"commands": [{"node_id": "a\rb", "name": "state"}]}, "commands[0]"),
-    ({"nodes": [{"node_id": "a\rb"}]}, "nodes[0]"),
+        "commands[0].node_id", id="doc20-commands[0]"),  # wrote a row read_trace_csv rejects
+    pytest.param({"nodes": [{"node_id": "a\ud800"}]}, "nodes[0].node_id",
+                 id="doc21-nodes[0]"),  # crashed deriving the node's seeds
+    pytest.param({"commands": [{"node_id": "a\ud800", "name": "state"}]}, "commands[0].node_id",
+                 id="doc22-commands[0]"),
+    pytest.param({"commands": [{"node_id": "", "name": "state"}]}, "commands[0].node_id",
+                 id="doc23-commands[0]"),
+    pytest.param({"commands": [{"node_id": "a\rb", "name": "state"}]}, "commands[0].node_id",
+                 id="doc24-commands[0]"),
+    pytest.param({"nodes": [{"node_id": "a\rb"}]}, "nodes[0].node_id", id="doc25-nodes[0]"),
     # values that no code reads are not in the schema, so naming one fails
     ({"nodes": [{"battery_voltage_v": 3.7}]}, "nodes[0]"),
     ({"energy": {"radio_tx": {"size_kb": 3.0}}}, "energy.radio_tx"),
@@ -234,10 +291,23 @@ def test_invalid_values_rejected():
     ({"latency": {"jitter_sensor_ms": 3.33}}, "latency"),
     ({"drop_probability": 1.0}, "drop_probability"),
     ([], "top level"),  # a document that is not an object
+    ({"nodes": ""}, "nodes"),  # loaded as no nodes
+    ({"anomaly_labels": {}}, "anomaly_labels"),  # loaded as no labels
 ])
 def test_bad_values_rejected_at_load_with_path(doc, path):
     with pytest.raises(ConfigurationError, match=rf"^<scenario>: {re.escape(path)}: "):
         scenario_from_dict(doc)
+
+
+def test_profile_filed_under_another_tiers_key_is_rejected():
+    # an oracle seeds its stream from its profile's tier: S and C would share one stream
+    with pytest.raises(ConfigurationError,
+                       match=r"^accuracy profile for mode S is for tier C$") as info:
+        Scenario(profiles={**DEFAULT_PROFILES, S: DEFAULT_PROFILES[C]})
+    assert info.value.path == ("profiles", "S")
+    with pytest.raises(ConfigurationError, match="^missing accuracy profile for mode G$") as info:
+        Scenario(profiles={S: DEFAULT_PROFILES[S]})
+    assert info.value.path == ("profiles",)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -257,7 +327,7 @@ def test_library_constructors_reject_non_finite_values(make, name, bad):
 
 def test_ground_truth_error_names_the_field_and_value():
     with pytest.raises(ConfigurationError, match=re.escape(
-            "<scenario>: ground_truth: healthy_split must be in [0, 1], got 2.0")):
+            "<scenario>: ground_truth.healthy_split: healthy_split must be in [0, 1], got 2.0")):
         scenario_from_dict({"ground_truth": {"healthy_split": 2.0}})
 
 
@@ -546,10 +616,10 @@ def test_cli_nan_duration_exits_2_without_artifacts(tmp_path, capsys):
 
 def test_cli_bad_node_ids_exit_2_with_the_path(tmp_path, capsys):
     for doc, where in (
-        ({"nodes": [{"node_id": "a\ud800"}]}, "nodes[0]"),
+        ({"nodes": [{"node_id": "a\ud800"}]}, "nodes[0].node_id"),
         ({"nodes": [{"node_id": "a"}], "commands": [
             {"at_ms": 10, "node_id": "gh,o\"st\n", "name": "sleep_period", "value": 5}]},
-         "commands[0]"),
+         "commands[0].node_id"),
     ):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))  # the surrogate travels as a \ud800 escape
