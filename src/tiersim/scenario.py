@@ -242,7 +242,7 @@ def _collect(table: dict, raw, kwargs: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigurationError(f"expected a JSON object, got {type(raw).__name__}")
     if not raw.keys() <= table.keys():
-        unknown = sorted(raw.keys() - table.keys())
+        unknown = sorted(raw.keys() - table.keys(), key=str)  # keys of a Python dict may mix types
         raise ConfigurationError(f"unknown field(s) {unknown} (check spelling)")
     for key, value in raw.items():
         entry = table[key]

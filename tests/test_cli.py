@@ -293,6 +293,7 @@ def test_invalid_values_rejected():
     ([], "top level"),  # a document that is not an object
     ({"nodes": ""}, "nodes"),  # loaded as no nodes
     ({"anomaly_labels": {}}, "anomaly_labels"),  # loaded as no labels
+    ({1: 2, "zz": 3}, "top level"),  # a dict built in Python; sorting its keys raised TypeError
 ])
 def test_bad_values_rejected_at_load_with_path(doc, path):
     with pytest.raises(ConfigurationError, match=rf"^<scenario>: {re.escape(path)}: "):
