@@ -135,7 +135,7 @@ class Simulator:
     def _add_node(self, cfg) -> None:
         node = SensorNode(
             node_id=cfg.node_id,
-            mode=InferenceMode.parse(cfg.initial_mode),
+            mode=InferenceMode(cfg.initial_mode),
             battery=cfg.make_battery(),
             sleep_period_ms=cfg.sleep_period_ms,
         )

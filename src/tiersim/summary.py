@@ -306,58 +306,6 @@ class LatencySample(NamedTuple):
     latency_ms: float
 
 
-class _LatencyMatcher:
-    """Recovers the per-mode latency series from a trace, one batch at a time.
-
-    On-device predictions carry their latency directly. An offboard
-    response carries the measured latency and is matched to its node's
-    outstanding request sent at ``timestamp_ms - latency_ms``, taking the
-    nearest send time because the subtraction may round. The mode recorded
-    at send time names the serving tier. A dropped request is never
-    answered, and its send time is never the nearest to an answer's, so it
-    stays outstanding; a timeout retires nothing, because the request it
-    names may be one still in service. Requests still outstanding at the
-    end of a batch carry over to the next.
-    """
-
-    def __init__(self) -> None:
-        self._outstanding: dict[str, list[tuple[float, str]]] = {}
-
-    def match(self, records: Iterable[SimEvent]) -> list[LatencySample]:
-        outstanding = self._outstanding
-        series: list[LatencySample] = []
-        for r in records:
-            kind = r.kind
-            if kind == "predict" and r.latency_ms is not None:
-                series.append(LatencySample(r.timestamp_ms, r.node_id, r.mode, r.latency_ms))
-            elif kind == "request-send":
-                outstanding.setdefault(r.node_id, []).append((r.timestamp_ms, r.mode))
-            elif kind in RESPONSE_KINDS:
-                pending = outstanding.get(r.node_id)
-                if not pending:
-                    raise ConfigurationError(
-                        f"response for {r.node_id} at {r.timestamp_ms} ms without a request"
-                    )
-                if r.latency_ms is None:
-                    raise ConfigurationError(
-                        f"response for {r.node_id} at {r.timestamp_ms} ms without a latency"
-                    )
-                # Send times rise along the list, so the distance to ``sent``
-                # falls and then rises: scan back from the newest to its minimum.
-                sent = r.timestamp_ms - r.latency_ms
-                i = len(pending) - 1
-                while i and abs(pending[i - 1][0] - sent) < abs(pending[i][0] - sent):
-                    i -= 1
-                origin = pending.pop(i)[1]
-                series.append(LatencySample(r.timestamp_ms, r.node_id, origin, r.latency_ms))
-        return series
-
-
-def extract_latency_series(records: Iterable[SimEvent]) -> list[LatencySample]:
-    """The latency series of a whole trace: the matcher applied to one batch."""
-    return _LatencyMatcher().match(records)
-
-
 _LATENCY_CSV = _LineFormat(LatencySample, [(name, name) for name in LatencySample._fields])
 
 
@@ -395,22 +343,28 @@ class RunSummary:
 
 
 class SummaryFold:
-    """The run summary as a fold over the trace, taken in batches.
+    """The run summary and the latency series as one fold over the trace, taken in batches.
 
-    The scenario supplies the constants a trace cannot carry: cycle
-    energies, the battery capacity behind the projected-life bounds, and
-    the per-node capacities used to convert battery percentages back to
-    consumed energy. ``update`` takes the next batch of records in trace
-    order and returns its latency samples; ``result`` summarizes every
-    record seen so far. However a trace is split into batches, the fold
-    gives the same summary and the same latency series.
+    ``update`` takes the next batch of records in trace order and returns
+    its latency samples; ``result`` summarizes every record seen so far.
+    However a trace is split into batches, the fold gives the same summary
+    and the same latency series.
+
+    On-device predictions carry their latency directly. An offboard
+    response carries the measured latency and is matched to its node's
+    outstanding request sent at ``timestamp_ms - latency_ms``, taking the
+    nearest send time because the subtraction may round. The mode recorded
+    at send time names the serving tier. A dropped request is never
+    answered, and its send time is never the nearest to an answer's, so it
+    stays outstanding; a timeout retires nothing, because the request it
+    names may be one still in service. Requests still outstanding at the
+    end of a batch carry over to the next. A response with no outstanding
+    request, or without a latency, is rejected.
     """
 
-    def __init__(self, scenario: Scenario) -> None:
-        self.scenario = scenario
-        self._capacities = {cfg.node_id: cfg.battery_capacity_j for cfg in scenario.nodes}
+    def __init__(self) -> None:
         self._kinds: Counter[str] = Counter()
-        self._matcher = _LatencyMatcher()
+        self._outstanding: dict[str, list[tuple[float, str]]] = {}  # node -> (sent, mode)
         self._latency_count = dict.fromkeys(_MODES, 0)
         self._latency_total = dict.fromkeys(_MODES, 0.0)
         # Time-weighted mode spans (each node's initial mode holds from
@@ -420,17 +374,14 @@ class SummaryFold:
         self._last_pct: dict[str, float] = {}
         self._dead_ms: dict[str, float] = {}
 
-    def update(self, records: list[SimEvent]) -> list[LatencySample]:
+    def update(self, records: Iterable[SimEvent]) -> list[LatencySample]:
         """Fold in the next batch of records; returns the batch's latency samples."""
+        records = records if isinstance(records, list) else list(records)
         self._kinds.update(map(_kind, records))
-        series = self._matcher.match(records)
-        count, total = self._latency_count, self._latency_total
-        for sample in series:
-            count[sample.mode] += 1
-            total[sample.mode] += sample.latency_ms
-
-        capacities, time_in, spans = self._capacities, self._time_in, self._spans
+        outstanding, count, total = self._outstanding, self._latency_count, self._latency_total
+        time_in, spans = self._time_in, self._spans
         last_pct, dead_ms = self._last_pct, self._dead_ms
+        series: list[LatencySample] = []
         for r in records:
             node_id, kind, mode = r.node_id, r.kind, r.mode
             if node_id and mode is not None:
@@ -440,19 +391,53 @@ class SummaryFold:
                 elif kind == "mode-change":
                     time_in[span[0]] += r.timestamp_ms - span[1]
                     spans[node_id] = (mode, r.timestamp_ms)
-            if kind == "battery-dead":
+            if kind == "predict":
+                latency = r.latency_ms
+                if latency is None:
+                    # a tier-side row echoes the level attached at send time; its
+                    # mode is the node's at service time, which may be S again
+                    continue
+                series.append(LatencySample(r.timestamp_ms, node_id, mode, latency))
+                count[mode] += 1
+                total[mode] += latency
+            elif kind == "request-send":
+                outstanding.setdefault(node_id, []).append((r.timestamp_ms, mode))
+            elif kind in RESPONSE_KINDS:
+                pending, latency = outstanding.get(node_id), r.latency_ms
+                if not pending or latency is None:
+                    missing = "a latency" if pending else "a request"
+                    raise ConfigurationError(
+                        f"response for {node_id} at {r.timestamp_ms} ms without {missing}")
+                # Send times rise along the list, so the distance to ``sent``
+                # falls and then rises: scan back from the newest to its minimum.
+                sent = r.timestamp_ms - latency
+                i = len(pending) - 1
+                while i and abs(pending[i - 1][0] - sent) < abs(pending[i][0] - sent):
+                    i -= 1
+                origin = pending.pop(i)[1]
+                series.append(LatencySample(r.timestamp_ms, node_id, origin, latency))
+                count[origin] += 1
+                total[origin] += latency
+            elif kind == "battery-dead":
                 dead_ms[node_id] = r.timestamp_ms
-            elif kind == "predict" and r.latency_ms is None:
-                # a tier-side row echoes the level attached at send time; its
-                # mode is the node's at service time, which may be S again
-                continue
-            if r.battery_pct is not None and node_id in capacities:
+            if r.battery_pct is not None:
                 last_pct[node_id] = r.battery_pct
         return series
 
-    def result(self) -> RunSummary:
-        """The summary of every record folded in so far."""
-        scenario, kinds = self.scenario, self._kinds
+    def result(self, scenario: Scenario) -> RunSummary:
+        """The summary of every record folded in so far.
+
+        The scenario supplies the constants a trace cannot carry: cycle
+        energies, the battery capacity behind the projected-life bounds,
+        and the per-node capacities that convert the last battery levels
+        back to consumed energy; a node the scenario does not hold
+        consumes none.
+        """
+        kinds, table = self._kinds, scenario.energy
+        node = scenario.nodes[0] if scenario.nodes else NodeConfig()
+        sleep_ms, battery = node.sleep_period_ms, node.make_battery()
+        onboard = cycle_energy(InferenceMode.SENSOR, sleep_ms, table)
+        offboard = cycle_energy(InferenceMode.CLOUD, sleep_ms, table)
         summary = RunSummary(
             name=scenario.name,
             duration_ms=scenario.duration_ms,
@@ -464,31 +449,41 @@ class SummaryFold:
             transitions=kinds["mode-change"],
             violations=kinds["protocol-violation"],
             latency_count=dict(self._latency_count),
-            mean_latency_ms=dict.fromkeys(_MODES, 0.0),
+            mean_latency_ms={m: self._latency_total[m] / n if n else 0.0
+                             for m, n in self._latency_count.items()},
             occupancy=dict.fromkeys(_MODES, 0.0),
             battery_dead_ms=dict(self._dead_ms),
+            onboard_cycle_mj=onboard,
+            offboard_cycle_mj=offboard,
+            energy_savings_pct=energy_savings_percent(onboard, offboard),
+            projected_life_onboard_h=battery_life_bound(
+                battery, InferenceMode.SENSOR, sleep_ms, table),
+            projected_life_offboard_h=battery_life_bound(
+                battery, InferenceMode.CLOUD, sleep_ms, table),
         )
-        _fill_analytics(summary, scenario)
-        for m, n in self._latency_count.items():
-            if n:
-                summary.mean_latency_ms[m] = self._latency_total[m] / n
-
         time_in = dict(self._time_in)
         for mode, since in self._spans.values():
             time_in[mode] += scenario.duration_ms - since
         total = scenario.duration_ms * len(self._spans)
         if total > 0:
             summary.occupancy = {m: time_in[m] / total for m in _MODES}
+        capacities = {cfg.node_id: cfg.battery_capacity_j for cfg in scenario.nodes}
         for node_id, pct in self._last_pct.items():  # a plain loop: sum() of floats may compensate
-            summary.total_energy_mj += self._capacities[node_id] * (1.0 - pct / 100.0) * 1000.0
+            if node_id in capacities:
+                summary.total_energy_mj += capacities[node_id] * (1.0 - pct / 100.0) * 1000.0
         return summary
 
 
-def summarize(records: list[SimEvent], scenario: Scenario) -> RunSummary:
+def summarize(records: Iterable[SimEvent], scenario: Scenario) -> RunSummary:
     """Aggregate a whole trace into the run summary: the fold applied to one batch."""
-    fold = SummaryFold(scenario)
+    fold = SummaryFold()
     fold.update(records)
-    return fold.result()
+    return fold.result(scenario)
+
+
+def extract_latency_series(records: Iterable[SimEvent]) -> list[LatencySample]:
+    """The latency series of a whole trace: the fold applied to one batch."""
+    return SummaryFold().update(records)
 
 
 class ArtifactSink:
@@ -507,8 +502,8 @@ class ArtifactSink:
 
     def __init__(self, scenario: Scenario, ledger: EnergyLedger,
                  directory: str | os.PathLike) -> None:
-        self._directory = Path(directory)
-        self._fold = SummaryFold(scenario)
+        self._directory, self._scenario = Path(directory), scenario
+        self._fold = SummaryFold()
         self._ledger, self._written = ledger, 0  # debits already in energy.csv
         with ExitStack() as stack:  # a failed open closes the files opened before it
             self._files = []
@@ -540,7 +535,7 @@ class ArtifactSink:
     def close(self) -> RunSummary:
         """Close the row artifacts, then write ``summary.json``; returns the summary."""
         self._open.close()
-        summary = self._fold.result()
+        summary = self._fold.result(self._scenario)
         (self._directory / ARTIFACTS[-1]).write_text(
             json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8",
         )
@@ -551,21 +546,3 @@ class ArtifactSink:
 
     def __exit__(self, *exc_info) -> None:
         self._open.close()
-
-
-def _fill_analytics(summary: RunSummary, scenario: Scenario) -> None:
-    node = scenario.nodes[0] if scenario.nodes else NodeConfig()
-    sleep_ms = node.sleep_period_ms
-    table = scenario.energy
-    summary.onboard_cycle_mj = cycle_energy(InferenceMode.SENSOR, sleep_ms, table)
-    summary.offboard_cycle_mj = cycle_energy(InferenceMode.CLOUD, sleep_ms, table)
-    summary.energy_savings_pct = energy_savings_percent(
-        summary.onboard_cycle_mj, summary.offboard_cycle_mj
-    )
-    battery = node.make_battery()
-    summary.projected_life_onboard_h = battery_life_bound(
-        battery, InferenceMode.SENSOR, sleep_ms, table
-    )
-    summary.projected_life_offboard_h = battery_life_bound(
-        battery, InferenceMode.CLOUD, sleep_ms, table
-    )

@@ -369,15 +369,15 @@ def test_run_writes_full_artifact_set(tmp_path):
 
 
 def test_run_extracts_the_latency_series_once(tmp_path, monkeypatch):
-    # Every record passes the latency matcher once, across several batches.
+    # Every record passes the summary fold once, across several batches.
     seen = []
-    match = tiersim.summary._LatencyMatcher.match
+    update = tiersim.summary.SummaryFold.update
 
     def counted(self, records):
         seen.append(len(records))
-        return match(self, records)
+        return update(self, records)
 
-    monkeypatch.setattr("tiersim.summary._LatencyMatcher.match", counted)
+    monkeypatch.setattr("tiersim.summary.SummaryFold.update", counted)
     monkeypatch.setattr("tiersim.summary.WRITE_CHUNK_ROWS", 64)
     run_scenario(Scenario(duration_ms=120_000.0, nodes=(NodeConfig(initial_mode="G"),)),
                  tmp_path / "out")

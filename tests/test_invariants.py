@@ -254,7 +254,7 @@ def test_trace_invariants_hold_under_random_fleets_and_commands(scenario):
         assert r.battery_pct <= levels.setdefault(r.node_id, r.battery_pct), r
         levels[r.node_id] = r.battery_pct
     # the summary fold, which has no detail to read, keeps the same last levels
-    fold = SummaryFold(scenario)
+    fold = SummaryFold()
     fold.update(records)
     assert fold._last_pct == levels
 
@@ -266,7 +266,7 @@ def test_trace_invariants_hold_under_random_fleets_and_commands(scenario):
     assert len(loaded) == len(records)
     for r, back in zip(records, loaded):
         assert repr(_CSV_FIELDS(back)) == repr(_CSV_FIELDS(r)), r
-    assert summarize(loaded, scenario) == fold.result()
+    assert summarize(loaded, scenario) == fold.result(scenario)
 
 
 # Ten documents keep this within Tier-1's time budget; each is run twice.

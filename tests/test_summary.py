@@ -320,13 +320,13 @@ def _eventful_run():
 def test_fold_is_independent_of_batch_boundaries(cuts):
     scenario, records = _eventful_run()
     bounds = sorted(int(c * len(records)) for c in cuts)
-    fold = SummaryFold(scenario)
+    fold = SummaryFold()
     series = []
     for lo, hi in zip([0, *bounds], [*bounds, len(records)]):
         series += fold.update(records[lo:hi])
-    whole = SummaryFold(scenario)
+    whole = SummaryFold()
     assert series == whole.update(records)
-    assert fold.result() == whole.result()
+    assert fold.result(scenario) == whole.result(scenario)
 
 
 def test_jsonl_written_one_record_per_line(tmp_path):
