@@ -94,9 +94,9 @@ def _json_cell(value) -> str:
     return _escape(value) if isinstance(value, str) else repr(value)
 
 
-#: The types a float or an int column's values share cells within: a value
-#: of another type can equal one of them, as ``5 == 5.0 == True`` do.
-_FLOATS, _INTS = {float, type(None)}, {int, type(None)}
+#: The types a float column's values share texts within: a value of another
+#: type can equal one of them, as ``5 == 5.0 == True`` do.
+_FLOATS = {float, type(None)}
 
 
 class _FloatText(dict):
@@ -150,9 +150,10 @@ class _LineFormat:
     distinct non-zero float of a chunk is converted once. A CSV text
     cell is the value's ``str``, which for text is the value itself.
     Counts, and text a JSON line escapes, repeat, so each distinct value
-    is converted once per call. A chunk whose float or count column holds
-    another type, such as a bool, converts that column value by value,
-    and a JSON line writes a bool as ``json.dumps`` does.
+    is converted once per call. A chunk whose column holds a value of
+    neither its annotated type nor None, such as a bool, converts that
+    column value by value, and a JSON line writes a bool as ``json.dumps``
+    does.
     """
 
     def __init__(self, record_type: type, columns, jsonl: bool = False) -> None:
@@ -167,15 +168,16 @@ class _LineFormat:
             templates = ["%s"] * len(columns)
         self._null = {None: null}.get  # _null(value, cell): None's cell, else ``cell``
         hints = get_type_hints(record_type)
-        # (template, attribute, kind): float, str (CSV text), int (counts, cached) or None (cached)
+        # (template, attribute, kind, types): kind is float, str (CSV text), int (counts,
+        # cached) or None (JSON text, cached); types are the annotated ones and None
         self._columns = []
         for template, (_, attr) in zip(templates, columns):
             types = get_args(hints[attr]) or (hints[attr],)
             kind = (float if float in types else str if str in types and not jsonl
                     else int if int in types else None)
-            self._columns.append((template, attr, kind))
-        self.attrs = tuple(attr for _, attr, _ in self._columns)
-        self.float_attrs = tuple(attr for _, attr, kind in self._columns if kind is float)
+            self._columns.append((template, attr, kind, {*types, type(None)}))
+        self.attrs = tuple(column[1] for column in self._columns)
+        self.float_attrs = tuple(attr for _, attr, kind, _ in self._columns if kind is float)
 
     def read(self, rows: list) -> dict[str, list]:
         """Each of this format's attributes' values over the rows, read once."""
@@ -187,7 +189,7 @@ class _LineFormat:
         A chunk is ``WRITE_CHUNK_ROWS`` rows, or a whole ``_Batch``.
         """
         caches = {attr: _Cells(template, self._cell).__getitem__
-                  for template, attr, kind in self._columns if kind in (int, None)}
+                  for template, attr, kind, _ in self._columns if kind in (int, None)}
         if isinstance(records, _Batch):
             yield self._lines(records.columns, records.texts, caches)
             return
@@ -202,9 +204,9 @@ class _LineFormat:
         null = self._null
         float_text = texts.__getitem__ if texts.floats_only else self._cell
         cells = []
-        for template, attr, kind in self._columns:
+        for template, attr, kind, types in self._columns:
             values = columns[attr]
-            if kind is None or kind is int and set(map(type, values)) <= _INTS:
+            if kind in (int, None) and set(map(type, values)) <= types:
                 cells.append(map(caches[attr], values))
                 continue
             convert = float_text if kind is float else str if kind is str else self._cell
@@ -255,9 +257,10 @@ def read_trace_csv(path: str | Path) -> list[SimEvent]:
     instant) or a battery level (a node's rows between two debits), so a
     row whose cell text equals the previous row's shares that row's
     float. The key is the text, not the value, which keeps ``-0.0`` apart
-    from ``0.0``.
+    from ``0.0``. A number that is NaN or infinite is malformed: no writer
+    writes one.
     """
-    share = {}.setdefault
+    share, inf = {}.setdefault, float("inf")
     t_text = battery_text = None  # the previous row's cells, parsed as t_value, battery_value
     with open(path, encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != ",".join(TRACE_COLUMNS):
@@ -273,15 +276,21 @@ def read_trace_csv(path: str | Path) -> list[SimEvent]:
             try:
                 if t != t_text:
                     t_value, t_text = float(t), t
+                    if not -inf < t_value < inf:
+                        raise ValueError(f"timestamp_ms {t!r} is not finite")
                 if battery != battery_text:
                     battery_value, battery_text = float(battery) if battery else None, battery
+                    if battery and not -inf < battery_value < inf:
+                        raise ValueError(f"battery_pct {battery!r} is not finite")
+                latency_value = float(latency) if latency else None
+                if latency and not -inf < latency_value < inf:
+                    raise ValueError(f"latency_ms {latency!r} is not finite")
                 mode_value, state_value = _MODE_STATE_CELLS[mode, state]
                 records.append(SimEvent(
                     t_value, share(node_id, node_id), share(kind, kind), mode_value, state_value,
                     share(bits, bits) if bits else None,
                     int(tau) if tau else None, int(sigma) if sigma else None,
-                    int(queue) if queue else None, float(latency) if latency else None,
-                    battery_value,
+                    int(queue) if queue else None, latency_value, battery_value,
                 ))
             except ValueError as err:
                 raise ConfigurationError(f"{path}: row {i}: {err}") from None

@@ -153,6 +153,19 @@ def test_read_back_shares_a_float_with_the_previous_row_of_the_same_text(tmp_pat
             read_trace_csv(path)
 
 
+@pytest.mark.parametrize("column", ["timestamp_ms", "latency_ms", "battery_pct"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_number_aborts_with_row_number(tmp_path, column, value):
+    # no writer writes one, and summarize would otherwise fold it in
+    path = tmp_path / "trace.csv"
+    row = dict(zip(TRACE_COLUMNS, "1.0,n0,predict,S,,,,,,2.0,99.0".split(",")), **{column: value})
+    path.write_text(",".join(TRACE_COLUMNS) + "\n0.0,n0,sample,S,,,,,,,100.0\n"
+                    + ",".join(row.values()) + "\n")
+    with pytest.raises(ConfigurationError,
+                       match=f"^{re.escape(f'{path}: row 3: {column} {value!r} is not finite')}$"):
+        read_trace_csv(path)
+
+
 def test_wrong_header_rejected(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("a,b,c\n")
@@ -276,12 +289,32 @@ def test_timeout_does_not_retire_a_request_still_in_service():
         assert offboard == answered, f"seed {seed}"
 
 
+#: Both ways to fold a whole trace; each must reject what the fold rejects.
+ENTRY_POINTS = (extract_latency_series, lambda records: summarize(records, Scenario()))
+
+
 @pytest.mark.parametrize("kind", sorted(RESPONSE_KINDS))
 def test_response_without_a_latency_is_rejected(kind):
     records = [SimEvent(0.0, "n0", "request-send", mode="G"),
                SimEvent(150.0, "n0", kind, mode="G")]
-    with pytest.raises(ConfigurationError, match="n0 at 150.0 ms without a latency"):
-        extract_latency_series(records)
+    for entry in ENTRY_POINTS:
+        with pytest.raises(ConfigurationError, match="n0 at 150.0 ms without a latency"):
+            entry(records)
+
+
+@pytest.mark.parametrize("kind", sorted(RESPONSE_KINDS))
+def test_response_without_a_request_is_rejected(kind):
+    # the first response answers n0's only request; nothing is left for the second,
+    # and n1 never sent one
+    for records in ([SimEvent(0.0, "n0", "request-send", mode="G"),
+                     SimEvent(150.0, "n0", kind, mode="G", latency_ms=150.0),
+                     SimEvent(300.0, "n0", kind, mode="G", latency_ms=300.0)],
+                    [SimEvent(0.0, "n0", "request-send", mode="G"),
+                     SimEvent(300.0, "n1", kind, mode="G", latency_ms=300.0)]):
+        for entry in ENTRY_POINTS:
+            with pytest.raises(ConfigurationError,
+                               match=f"{records[-1].node_id} at 300.0 ms without a request"):
+                entry(records)
 
 
 def test_latency_sample_is_an_immutable_row():

@@ -241,19 +241,24 @@ def test_a_number_equal_to_a_float_keeps_its_own_text():
 
 
 numbers = st.one_of(floats, counts, st.booleans())
+mixed_texts = st.one_of(texts, numbers)
 mixed_events = st.builds(
-    SimEvent, numbers, texts, texts, st.none() | texts, st.none() | texts, st.none() | texts,
+    SimEvent, numbers, mixed_texts, mixed_texts, st.none() | mixed_texts,
+    st.none() | mixed_texts, st.none() | mixed_texts,
     st.none() | numbers, st.none() | numbers, st.none() | numbers,
-    st.none() | numbers, st.none() | numbers, st.none() | texts,
+    st.none() | numbers, st.none() | numbers, st.none() | mixed_texts,
 )
 
 
 @EXAMPLES
 @example(records=[SimEvent(1, "n", "k", tau=1, sigma=True, queue_len=1.0),
                   SimEvent(True, "n", "k", tau=True, sigma=1.0, queue_len=1)])
+@example(records=[SimEvent(0.0, "n", "k", detail=True), SimEvent(0.0, "n", "k", detail=1),
+                  SimEvent(1.0, "n", "k", detail=1.0)])
 @given(st.lists(mixed_events, max_size=12))
 def test_an_int_a_bool_and_a_float_in_any_number_column_keep_their_own_text(records):
-    # equal numbers of different types must not share a cell in a count column either
+    # equal numbers of different types must not share a cell in a count column
+    # either, nor in a text column that holds numbers
     assert _written(write_trace_jsonl, records) == _jsonl(records)
     assert _written(write_trace_csv, records) == "".join(
         _csv_line(astuple(r)[:len(TRACE_COLUMNS)]) for r in records)
