@@ -176,7 +176,7 @@ class _LineFormat:
             kind = (float if float in types else str if str in types and not jsonl
                     else int if int in types else None)
             self._columns.append((template, attr, kind, {*types, type(None)}))
-        self.attrs = tuple(column[1] for column in self._columns)
+        self.attrs = tuple(attr for _, attr, _, _ in self._columns)
         self.float_attrs = tuple(attr for _, attr, kind, _ in self._columns if kind is float)
 
     def read(self, rows: list) -> dict[str, list]:
@@ -393,13 +393,13 @@ class SummaryFold:
         series: list[LatencySample] = []
         for r in records:
             node_id, kind, mode = r.node_id, r.kind, r.mode
-            if node_id and mode is not None:
-                span = spans.get(node_id)
-                if span is None:
+            if node_id not in spans:
+                if node_id and mode is not None:
                     spans[node_id] = (mode, 0.0)
-                elif kind == "mode-change":
-                    time_in[span[0]] += r.timestamp_ms - span[1]
-                    spans[node_id] = (mode, r.timestamp_ms)
+            elif kind == "mode-change" and mode is not None:
+                span = spans[node_id]
+                time_in[span[0]] += r.timestamp_ms - span[1]
+                spans[node_id] = (mode, r.timestamp_ms)
             if kind == "predict":
                 latency = r.latency_ms
                 if latency is None:
