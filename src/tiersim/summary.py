@@ -12,7 +12,7 @@ import json
 import operator
 import os
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from itertools import chain
@@ -72,22 +72,6 @@ _ENERGY_FORMAT = (("timestamp_ms", "timestamp_ms"), ("node_id", "node_id"),
                   ("battery_pct", "battery_pct"))
 
 
-class _Cells(dict):
-    """The cell of each distinct value met, ``template % convert(value)``, made once."""
-
-    def __init__(self, template: str, convert: Callable[[object], str]) -> None:
-        super().__init__()
-        self._template, self._convert = template, convert
-
-    def __missing__(self, value) -> str:
-        cell = self[value] = self._template % self._convert(value)
-        return cell
-
-
-def _csv_cell(value) -> str:
-    return "" if value is None else str(value)
-
-
 def _json_cell(value) -> str:
     if value is None or isinstance(value, bool):
         return json.dumps(value)  # null, true or false, where repr writes None, True or False
@@ -144,40 +128,41 @@ class _LineFormat:
     escapes it, numbers in ``repr``, None as ``null``. Each column's
     template holds its key, and the first and last hold the braces.
 
-    An attribute's annotation gives its column's type, and each column is
-    converted whole. A float's text comes from a ``_FloatText`` of the
-    chunk, which a sink's batch shares among all four artifacts, so each
-    distinct non-zero float of a chunk is converted once. A CSV text
-    cell is the value's ``str``, which for text is the value itself.
-    Counts, and text a JSON line escapes, repeat, so each distinct value
-    is converted once per call. A chunk whose column holds a value of
-    neither its annotated type nor None, such as a bool, converts that
-    column value by value, and a JSON line writes a bool as ``json.dumps``
-    does.
+    An attribute's annotation gives its column's kind, and each column is
+    converted whole, one chunk at a time. A float's text comes from a
+    ``_FloatText`` of the chunk, which a sink's batch shares among all
+    four artifacts, so each distinct non-zero float of a chunk is
+    converted once. Every other column has one rule, ``convert``: the
+    JSON escaper for text in a JSON line, ``str`` for CSV text and for
+    counts. Its values repeat, so a chunk whose column holds only values
+    of the annotated type or None builds a table of each distinct value's
+    cell, made once, and each row's cell is one lookup. A chunk whose
+    column holds a value of neither, such as a bool, converts that column
+    value by value, since ``1 == 1.0 == True`` would share one cell, and
+    a JSON line writes a bool as ``json.dumps`` does.
     """
 
     def __init__(self, record_type: type, columns, jsonl: bool = False) -> None:
         if jsonl:
             columns = sorted(columns)
-            self.header, self._sep, self._cell, null = "", ", ", _json_cell, "null"
+            self.header, self._sep, self._cell, null, text = "", ", ", _json_cell, "null", _escape
             templates = [f"{_escape(key)}: %s" for key, _ in columns]
             templates[0], templates[-1] = "{" + templates[0], templates[-1] + "}"
         else:
             self.header = ",".join(key for key, _ in columns) + "\n"
-            self._sep, self._cell, null = ",", _csv_cell, ""
-            templates = ["%s"] * len(columns)
+            self._sep, self._cell, null = ",", str, ""
+            text, templates = str, ["%s"] * len(columns)
         self._null = {None: null}.get  # _null(value, cell): None's cell, else ``cell``
         hints = get_type_hints(record_type)
-        # (template, attribute, kind, types): kind is float, str (CSV text), int (counts,
-        # cached) or None (JSON text, cached); types are the annotated ones and None
+        # (template, attribute, convert, types): convert gives the text of a value of the
+        # annotated types, or is None for a float column; types are those plus None
         self._columns = []
         for template, (_, attr) in zip(templates, columns):
             types = get_args(hints[attr]) or (hints[attr],)
-            kind = (float if float in types else str if str in types and not jsonl
-                    else int if int in types else None)
-            self._columns.append((template, attr, kind, {*types, type(None)}))
+            convert = None if float in types else text if str in types else str
+            self._columns.append((template, attr, convert, {*types, type(None)}))
         self.attrs = tuple(attr for _, attr, _, _ in self._columns)
-        self.float_attrs = tuple(attr for _, attr, kind, _ in self._columns if kind is float)
+        self.float_attrs = tuple(attr for _, attr, convert, _ in self._columns if convert is None)
 
     def read(self, rows: list) -> dict[str, list]:
         """Each of this format's attributes' values over the rows, read once."""
@@ -188,29 +173,28 @@ class _LineFormat:
 
         A chunk is ``WRITE_CHUNK_ROWS`` rows, or a whole ``_Batch``.
         """
-        caches = {attr: _Cells(template, self._cell).__getitem__
-                  for template, attr, kind, _ in self._columns if kind in (int, None)}
         if isinstance(records, _Batch):
-            yield self._lines(records.columns, records.texts, caches)
+            yield self._lines(records.columns, records.texts)
             return
         records = records if isinstance(records, list) else list(records)
         for start in range(0, len(records), WRITE_CHUNK_ROWS):
             columns = self.read(records[start:start + WRITE_CHUNK_ROWS])
             texts = _FloatText(columns[attr] for attr in self.float_attrs)
-            yield self._lines(columns, texts, caches)
+            yield self._lines(columns, texts)
 
-    def _lines(self, columns: dict[str, Sequence], texts: _FloatText,
-               caches: dict[str, Callable[[object], str]]) -> str:
+    def _lines(self, columns: dict[str, Sequence], texts: _FloatText) -> str:
         null = self._null
         float_text = texts.__getitem__ if texts.floats_only else self._cell
         cells = []
-        for template, attr, kind, types in self._columns:
+        for template, attr, convert, types in self._columns:
             values = columns[attr]
-            if kind in (int, None) and set(map(type, values)) <= types:
-                cells.append(map(caches[attr], values))
+            if convert is not None and set(map(type, values)) <= types:
+                distinct = set(values) - {None}
+                table = dict(zip(distinct, map(template.__mod__, map(convert, distinct))))
+                table[None] = template % null(None)
+                cells.append(map(table.__getitem__, values))
                 continue
-            convert = float_text if kind is float else str if kind is str else self._cell
-            column = map(null, values, map(convert, values))
+            column = map(null, values, map(float_text if convert is None else self._cell, values))
             cells.append(column if template == "%s" else map(template.__mod__, column))
         # the empty last line ends the chunk with a newline
         return "\n".join(chain(map(self._sep.join, zip(*cells)), ("",)))
@@ -368,7 +352,9 @@ class SummaryFold:
     stays outstanding; a timeout retires nothing, because the request it
     names may be one still in service. Requests still outstanding at the
     end of a batch carry over to the next. A response with no outstanding
-    request, or without a latency, is rejected.
+    request, or without a latency, is rejected, and so is a prediction with
+    a latency but no mode, or an answered request sent without one: the
+    fold cannot tell which tier served it.
     """
 
     def __init__(self) -> None:
@@ -406,6 +392,9 @@ class SummaryFold:
                     # a tier-side row echoes the level attached at send time; its
                     # mode is the node's at service time, which may be S again
                     continue
+                if mode is None:
+                    raise ConfigurationError(
+                        f"predict for {node_id} at {r.timestamp_ms} ms without a mode")
                 series.append(LatencySample(r.timestamp_ms, node_id, mode, latency))
                 count[mode] += 1
                 total[mode] += latency
@@ -423,7 +412,10 @@ class SummaryFold:
                 i = len(pending) - 1
                 while i and abs(pending[i - 1][0] - sent) < abs(pending[i][0] - sent):
                     i -= 1
-                origin = pending.pop(i)[1]
+                sent_ms, origin = pending.pop(i)
+                if origin is None:
+                    raise ConfigurationError(
+                        f"request-send for {node_id} at {sent_ms} ms without a mode")
                 series.append(LatencySample(r.timestamp_ms, node_id, origin, latency))
                 count[origin] += 1
                 total[origin] += latency

@@ -166,6 +166,17 @@ def test_non_finite_number_aborts_with_row_number(tmp_path, column, value):
         read_trace_csv(path)
 
 
+@pytest.mark.parametrize("count", [10, 12])
+def test_row_of_another_column_count_aborts_with_row_number(tmp_path, count):
+    path = tmp_path / "trace.csv"
+    cells = ["1.0", "n0", "sample", "S", *[""] * (count - 5), "99.0"]
+    path.write_text(",".join(TRACE_COLUMNS) + "\n0.0,n0,sample,S,,,,,,,100.0\n"
+                    + ",".join(cells) + "\n")
+    message = f"{path}: row 3: expected 11 columns, got {count}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        read_trace_csv(path)
+
+
 def test_wrong_header_rejected(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("a,b,c\n")
@@ -315,6 +326,21 @@ def test_response_without_a_request_is_rejected(kind):
             with pytest.raises(ConfigurationError,
                                match=f"{records[-1].node_id} at 300.0 ms without a request"):
                 entry(records)
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["0.0,n0,predict,,,,,,,5.0,99.0"], "predict for n0 at 0.0 ms without a mode"),
+    (["0.0,n0,request-send,,,,,,,,99.0", "10.0,n0,response-blank,,,,,,,10.0,99.0"],
+     "request-send for n0 at 0.0 ms without a mode"),
+], ids=["predict", "response"])
+def test_record_whose_tier_the_fold_cannot_find_is_rejected(tmp_path, rows, message):
+    # read_trace_csv accepts an empty mode; the fold needs it to name the serving tier
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(TRACE_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+    records = read_trace_csv(path)
+    for entry in ENTRY_POINTS:
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            entry(records)
 
 
 def test_latency_sample_is_an_immutable_row():
