@@ -33,7 +33,6 @@ from .model import (
     new_tracker,
 )
 from .node import (
-    InvalidTransitionError,
     LifecycleEvent,
     PropertyCommand,
     PropertyMethod,
@@ -258,10 +257,9 @@ class Simulator:
 
     def _on_lifecycle(self, node_id: str, event: LifecycleEvent) -> None:
         node = self.nodes[node_id]
-        try:
-            node.step_state(event)
-        except InvalidTransitionError as err:
-            self._record(node, "protocol-violation", detail=str(err))
+        if node.step_state(event) is None:
+            self._record(node, "protocol-violation",
+                         detail=f"event {event.value} not valid in state {node.state.value}")
             return
         self._record(node, event.value)
         self._after_lifecycle(node, event)
@@ -499,14 +497,12 @@ class Simulator:
             cmd = pending.popleft()
             before = node.mode
             status, value = node.apply_command(cmd)
-            is_state_step = (cmd.name == "state" and cmd.method is PropertyMethod.SET
-                             and status == "ok")
+            is_state_step = isinstance(value, LifecycleEvent)
             if is_state_step:
                 # the lifecycle row leads so state-machine triples read
                 # cleanly off consecutive trace rows
-                event: LifecycleEvent = value  # type: ignore[assignment]
-                self._record(node, event.value, detail="via SET state")
-            elif cmd.name == "state" and status == "protocol-violation":
+                self._record(node, value.value, detail="via SET state")
+            elif status == "protocol-violation":  # only a SET of state returns it
                 self._record(node, "protocol-violation",
                              detail=f"SET state {cmd.value} has no edge from "
                                     f"{node.state.value}")
@@ -514,7 +510,7 @@ class Simulator:
             if node.mode is not before:
                 self._change_mode(node, node.mode, "operator")
             if is_state_step:
-                self._after_lifecycle(node, event)
+                self._after_lifecycle(node, value)
 
     # -- polling ------------------------------------------------------
 

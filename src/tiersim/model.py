@@ -63,13 +63,6 @@ class NodeState(enum.Enum):
     WORKING = "WORKING"
     IDLE = "IDLE"
 
-    @classmethod
-    def parse(cls, text: str) -> "NodeState":
-        try:
-            return cls(text)
-        except ValueError:
-            raise ConfigurationError(f"unknown node state {text!r}") from None
-
 
 class ConditionLabel(enum.IntEnum):
     """Operational-health class emitted by the classifiers."""

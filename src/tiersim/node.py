@@ -46,12 +46,10 @@ TRANSITIONS: dict[tuple[NodeState, LifecycleEvent], NodeState] = {
     (NodeState.IDLE, LifecycleEvent.RESET_COMMAND): NodeState.UNLOCKED,
 }
 
-
-class InvalidTransitionError(Exception):
-    """Lifecycle event not legal in the node's current state."""
-
-    def __init__(self, state: NodeState, event: LifecycleEvent) -> None:
-        super().__init__(f"event {event.value} not valid in state {state.value}")
+#: The inverse table, read by a SET of ``state``: each (src, dst) pair above is unique.
+EVENT_FOR_STEP: dict[tuple[NodeState, NodeState], LifecycleEvent] = {
+    (src, dst): event for (src, event), dst in TRANSITIONS.items()
+}
 
 
 class PropertyMethod(enum.Enum):
@@ -122,12 +120,12 @@ class SensorNode:
 
     # -- state machine ------------------------------------------------
 
-    def step_state(self, event: LifecycleEvent) -> NodeState:
-        """Apply a lifecycle event; raises InvalidTransitionError on bad input."""
+    def step_state(self, event: LifecycleEvent) -> NodeState | None:
+        """Apply a lifecycle event: the new state, or None, leaving the
+        node as it is, when the event has no edge from the current state."""
         state = TRANSITIONS.get((self.state, event))
-        if state is None:
-            raise InvalidTransitionError(self.state, event)
-        self.state = state
+        if state is not None:
+            self.state = state
         return state
 
     # -- device properties ----------------------------------------------
@@ -166,17 +164,17 @@ class SensorNode:
             return "ok", None
         if name == "inference_mode":
             try:
-                mode = value if isinstance(value, InferenceMode) else InferenceMode.parse(str(value))
-            except ConfigurationError:
+                mode = value if isinstance(value, InferenceMode) else InferenceMode(str(value))
+            except ValueError:
                 return "invalid-value", None
             self.mode = mode  # the engine empties the node's windows on a change
             return "ok", None
         if name == "state":
             try:
-                target = value if isinstance(value, NodeState) else NodeState.parse(str(value))
-            except ConfigurationError:
+                target = value if isinstance(value, NodeState) else NodeState(str(value))
+            except ValueError:
                 return "invalid-value", None
-            event = _event_for_target_state(self.state, target)
+            event = EVENT_FOR_STEP.get((self.state, target))
             if event is None:
                 return "protocol-violation", None
             self.step_state(event)
@@ -225,12 +223,4 @@ def _gate(cmd: PropertyCommand, target: str) -> tuple[str, None] | None:
         return "unknown-property", None
     if cmd.method not in entry[1]:
         return "method-not-allowed", None
-    return None
-
-
-def _event_for_target_state(current: NodeState, target: NodeState) -> LifecycleEvent | None:
-    """Map a SET state command to the lifecycle event reaching the target."""
-    for (src, event), dst in TRANSITIONS.items():
-        if src is current and dst is target:
-            return event
     return None

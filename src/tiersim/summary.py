@@ -353,8 +353,9 @@ class SummaryFold:
     names may be one still in service. Requests still outstanding at the
     end of a batch carry over to the next. A response with no outstanding
     request, or without a latency, is rejected, and so is a prediction with
-    a latency but no mode, or an answered request sent without one: the
-    fold cannot tell which tier served it.
+    a latency, or an answered request, without a mode: the fold cannot tell
+    which tier served it. A mode that is not a tier is rejected wherever the
+    fold keys on one: there, in a node's first mode and in a mode change.
     """
 
     def __init__(self) -> None:
@@ -381,8 +382,12 @@ class SummaryFold:
             node_id, kind, mode = r.node_id, r.kind, r.mode
             if node_id not in spans:
                 if node_id and mode is not None:
+                    if mode not in time_in:
+                        raise _no_tier(kind, node_id, r.timestamp_ms, mode)
                     spans[node_id] = (mode, 0.0)
             elif kind == "mode-change" and mode is not None:
+                if mode not in time_in:
+                    raise _no_tier(kind, node_id, r.timestamp_ms, mode)
                 span = spans[node_id]
                 time_in[span[0]] += r.timestamp_ms - span[1]
                 spans[node_id] = (mode, r.timestamp_ms)
@@ -392,9 +397,8 @@ class SummaryFold:
                     # a tier-side row echoes the level attached at send time; its
                     # mode is the node's at service time, which may be S again
                     continue
-                if mode is None:
-                    raise ConfigurationError(
-                        f"predict for {node_id} at {r.timestamp_ms} ms without a mode")
+                if mode not in count:
+                    raise _no_tier(kind, node_id, r.timestamp_ms, mode)
                 series.append(LatencySample(r.timestamp_ms, node_id, mode, latency))
                 count[mode] += 1
                 total[mode] += latency
@@ -413,9 +417,8 @@ class SummaryFold:
                 while i and abs(pending[i - 1][0] - sent) < abs(pending[i][0] - sent):
                     i -= 1
                 sent_ms, origin = pending.pop(i)
-                if origin is None:
-                    raise ConfigurationError(
-                        f"request-send for {node_id} at {sent_ms} ms without a mode")
+                if origin not in count:
+                    raise _no_tier("request-send", node_id, sent_ms, origin)
                 series.append(LatencySample(r.timestamp_ms, node_id, origin, latency))
                 count[origin] += 1
                 total[origin] += latency
@@ -473,6 +476,12 @@ class SummaryFold:
             if node_id in capacities:
                 summary.total_energy_mj += capacities[node_id] * (1.0 - pct / 100.0) * 1000.0
         return summary
+
+
+def _no_tier(kind: str, node_id: str, at_ms: float, mode: str | None) -> ConfigurationError:
+    """The fold's rejection of a record whose mode names no tier."""
+    how = "without a mode" if mode is None else f"with mode {mode!r}, which is not a tier"
+    return ConfigurationError(f"{kind} for {node_id} at {at_ms} ms {how}")
 
 
 def summarize(records: Iterable[SimEvent], scenario: Scenario) -> RunSummary:

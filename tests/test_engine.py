@@ -67,6 +67,20 @@ def test_invalid_lifecycle_event_records_violation_and_keeps_state():
     violations = kinds_for(records, "node-0", "protocol-violation")
     assert len(violations) == 1
     assert violations[0].state == "WORKING"
+    assert violations[0].detail == "event provision-complete not valid in state WORKING"
+
+
+def test_config_reject_by_command_leaves_the_handshake_confirm_without_an_edge():
+    # SET state UNLOCKED while LOCKED steps config-reject; the gateway's
+    # scheduled config-confirm then finds no edge from UNLOCKED
+    sim = Simulator(scenario_from_dict({"duration_ms": 5000, "commands": [
+        {"at_ms": 550, "node_id": "node-0", "name": "state", "value": "UNLOCKED"}]}))
+    rows = [(r.timestamp_ms, r.kind, r.detail) for r in sim.run()
+            if r.kind in ("config-reject", "protocol-violation")]
+    assert rows == [
+        (550.0, "config-reject", "via SET state"),
+        (600.0, "protocol-violation", "event config-confirm not valid in state UNLOCKED"),
+    ]
 
 
 def test_scheduling_into_the_past_aborts():

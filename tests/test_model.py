@@ -13,7 +13,6 @@ from tiersim import (
     ConfigurationError,
     HeuristicParams,
     InferenceMode,
-    NodeState,
     new_tracker,
 )
 
@@ -51,12 +50,6 @@ def test_mode_parse():
     assert InferenceMode.parse("S") is S
     with pytest.raises(ConfigurationError):
         InferenceMode.parse("X")
-
-
-def test_node_state_parse():
-    assert NodeState.parse("WORKING") is NodeState.WORKING
-    with pytest.raises(ConfigurationError):
-        NodeState.parse("BROKEN")
 
 
 def test_battery_level_and_death():

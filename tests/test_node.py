@@ -19,7 +19,6 @@ from tiersim import (
     Simulator,
 )
 from tiersim.node import (
-    InvalidTransitionError,
     PROPERTY_TABLE,
     TRANSITIONS,
 )
@@ -63,8 +62,7 @@ def test_idle_and_reset():
 
 def test_undefined_transition_raises_and_preserves_state():
     node = working_node()
-    with pytest.raises(InvalidTransitionError):
-        node.step_state(LifecycleEvent.PROVISIONING_COMPLETE)
+    assert node.step_state(LifecycleEvent.PROVISIONING_COMPLETE) is None
     assert node.state is NodeState.WORKING
 
 

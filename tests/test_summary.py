@@ -343,6 +343,24 @@ def test_record_whose_tier_the_fold_cannot_find_is_rejected(tmp_path, rows, mess
             entry(records)
 
 
+@pytest.mark.parametrize("records,message", [
+    ([SimEvent(0.0, "n0", "predict", mode="X", latency_ms=5.0)],
+     "predict for n0 at 0.0 ms with mode 'X', which is not a tier"),
+    ([SimEvent(0.0, "n0", "sample", mode="X")],
+     "sample for n0 at 0.0 ms with mode 'X', which is not a tier"),
+    ([SimEvent(0.0, "n0", "sample", mode="S"), SimEvent(5.0, "n0", "mode-change", mode="X")],
+     "mode-change for n0 at 5.0 ms with mode 'X', which is not a tier"),
+    ([SimEvent(0.0, "n0", "sample", mode="G"), SimEvent(1.0, "n0", "request-send", mode="X"),
+      SimEvent(11.0, "n0", "response-blank", mode="G", latency_ms=10.0)],
+     "request-send for n0 at 1.0 ms with mode 'X', which is not a tier"),
+], ids=["predict", "first-span", "mode-change", "response"])
+def test_record_built_in_python_whose_mode_is_not_a_tier_is_rejected(records, message):
+    # read_trace_csv rejects such a mode; a library caller can still build one
+    for entry in ENTRY_POINTS:
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            entry(records)
+
+
 def test_latency_sample_is_an_immutable_row():
     sample = LatencySample(1_000.0, "n1", "G", 148.15)
     assert (sample.timestamp_ms, sample.node_id, sample.mode, sample.latency_ms) == \
