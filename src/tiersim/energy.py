@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .model import BatteryState, ConfigurationError, InferenceMode
+from .model import BatteryState, ConfigurationError, InferenceMode, check_intervals
 
 MS_PER_HOUR = 3_600_000.0
 
@@ -22,16 +22,10 @@ MS_PER_HOUR = 3_600_000.0
 class OperationCost:
     """Measured duration and energy of one node operation."""
 
-    duration_ms: float
-    energy_mj: float
+    duration_ms: float = field(metadata={"interval": "(0, inf)"})
+    energy_mj: float = field(metadata={"interval": "(0, inf)"})
 
-    def __post_init__(self) -> None:
-        # NaN fails every comparison, so it is rejected too; it would reach the scheduler
-        if not (0 < self.duration_ms < math.inf and 0 < self.energy_mj < math.inf):
-            raise ConfigurationError(
-                "operation duration and energy must both be positive and finite, got "
-                f"({self.duration_ms} ms, {self.energy_mj} mJ)"
-            )
+    __post_init__ = check_intervals
 
 
 @dataclass(frozen=True)
@@ -48,22 +42,14 @@ class EnergyTable:
     local_inference: OperationCost = OperationCost(14.0, 2.72)
     compression: OperationCost = OperationCost(50.0, 10.67)
     radio_tx: OperationCost = OperationCost(4_700.0, 1_570.00)
-    deep_sleep_current_ua: float = 10.0
-    supply_voltage_v: float = 3.7
+    deep_sleep_current_ua: float = field(default=10.0, metadata={"interval": "(0, inf)"})
+    supply_voltage_v: float = field(default=3.7, metadata={"interval": "(0, inf)"})
 
-    def __post_init__(self) -> None:
-        if not 0 < self.deep_sleep_current_ua < math.inf:
-            raise ConfigurationError(
-                f"deep sleep current must be finite and > 0 uA, got {self.deep_sleep_current_ua}",
-                "deep_sleep_current_ua")
-        if not 0 < self.supply_voltage_v < math.inf:
-            raise ConfigurationError(
-                f"supply voltage must be finite and > 0 V, got {self.supply_voltage_v}",
-                "supply_voltage_v")
+    __post_init__ = check_intervals
 
     def sleep_energy_mj(self, sleep_ms: float) -> float:
         """Deep-sleep energy for a sleep phase of the given duration."""
-        if sleep_ms < 0:
+        if not sleep_ms >= 0:  # NaN fails every comparison
             raise ConfigurationError(f"sleep duration must be >= 0 ms, got {sleep_ms}")
         # uA * V = uW; uW * ms = nJ; /1e6 -> mJ
         return self.deep_sleep_current_ua * self.supply_voltage_v * sleep_ms / 1e6
@@ -88,7 +74,7 @@ def cycle_energy(mode: InferenceMode, sleep_ms: float, table: EnergyTable) -> fl
 
 def cycle_duration(mode: InferenceMode, sleep_ms: float, table: EnergyTable) -> float:
     """Total duration (ms) of one duty cycle: sleep phase plus active phase."""
-    if sleep_ms < 0:
+    if not sleep_ms >= 0:  # NaN fails every comparison
         raise ConfigurationError(f"sleep duration must be >= 0 ms, got {sleep_ms}")
     active = 0.0
     for _, _, cost in table.active_phase(mode):

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
+import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
-MAX_HISTORY_DEPTH = 64  # history must fit one machine word
+_HISTORY_DEPTHS = "[1, 64]"  # a history must fit one machine word
 
 
 class ConfigurationError(ValueError):
@@ -32,6 +32,39 @@ class ConfigurationError(ValueError):
 
 class SimulationError(RuntimeError):
     """Raised on internal inconsistencies that indicate a simulator bug."""
+
+
+@functools.cache
+def _intervals(cls) -> tuple:
+    """(name, JSON path, lower test, low, upper test, high, interval) of each field
+    of ``cls`` whose metadata declares an interval, such as ``[0, inf)``."""
+    table = []
+    for f in fields(cls):
+        interval = f.metadata.get("interval")
+        if interval is not None:
+            low, high = map(float, interval[1:-1].split(","))
+            table.append((f.name, tuple(f.metadata.get("key", f.name).split(".")),
+                          operator.le if interval[0] == "[" else operator.lt, low,
+                          operator.le if interval[-1] == "]" else operator.lt, high, interval))
+    return tuple(table)
+
+
+def check_intervals(obj) -> None:
+    """Reject a field of ``obj`` that lies outside its declared interval.
+
+    NaN fails every bound's test, so it lies outside every interval. Each
+    item of a tuple or list is checked on its own, and its path carries its
+    index.
+    """
+    for name, path, above, low, below, high, interval in _intervals(type(obj)):
+        value = getattr(obj, name)
+        if isinstance(value, (tuple, list)):
+            for i, item in enumerate(value):
+                if not (above(low, item) and below(item, high)):
+                    raise ConfigurationError(
+                        f"{path[-1]}[{i}] must be in {interval}, got {item}", *path, i)
+        elif not (above(low, value) and below(value, high)):
+            raise ConfigurationError(f"{path[-1]} must be in {interval}, got {value}", *path)
 
 
 class InferenceMode(enum.Enum):
@@ -98,13 +131,10 @@ class AnomalyTracker:
 
     bits: int = 0
     length: int = 0
-    depth: int = 32
+    depth: int = field(default=32, metadata={"interval": _HISTORY_DEPTHS})
 
     def __post_init__(self) -> None:
-        if not 1 <= self.depth <= MAX_HISTORY_DEPTH:
-            raise ConfigurationError(
-                f"history depth must be in 1..{MAX_HISTORY_DEPTH}, got {self.depth}"
-            )
+        check_intervals(self)
         if not 0 <= self.length <= self.depth:
             raise ConfigurationError(
                 f"history length {self.length} outside 0..depth {self.depth}"
@@ -133,27 +163,18 @@ def new_tracker(depth: int) -> AnomalyTracker:
 class HeuristicParams:
     """Thresholds consumed by the three adaptive-inference heuristics."""
 
-    low_battery_pct: float = 20.0
+    low_battery_pct: float = field(default=20.0, metadata={"interval": "(0, 100)"})
     sensor_escalate_count: int = 4
     gateway_deescalate_count: int = 4
     gateway_escalate_count: int = 8
-    queue_limit: int = 4
+    queue_limit: int = field(default=4, metadata={"interval": "[1, inf)"})
     cloud_deescalate_count: int = 2
-    history_depth_sensor: int = 32
-    history_depth_gateway: int = 16
-    history_depth_cloud: int = 8
+    history_depth_sensor: int = field(default=32, metadata={"interval": _HISTORY_DEPTHS})
+    history_depth_gateway: int = field(default=16, metadata={"interval": _HISTORY_DEPTHS})
+    history_depth_cloud: int = field(default=8, metadata={"interval": _HISTORY_DEPTHS})
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.low_battery_pct < 100.0:
-            raise ConfigurationError(
-                f"low_battery_pct must be in (0, 100), got {self.low_battery_pct}",
-                "low_battery_pct")
-        for name in ("history_depth_sensor", "history_depth_gateway", "history_depth_cloud"):
-            depth = getattr(self, name)
-            if not 1 <= depth <= MAX_HISTORY_DEPTH:
-                raise ConfigurationError(
-                    f"{name} must be in 1..{MAX_HISTORY_DEPTH}, got {depth}", name
-                )
+        check_intervals(self)
         if not 0 < self.sensor_escalate_count <= self.history_depth_sensor:
             raise ConfigurationError(
                 "sensor_escalate_count must satisfy "
@@ -174,9 +195,6 @@ class HeuristicParams:
                 "cloud_deescalate_count must satisfy "
                 f"0 < value <= history_depth_cloud, got {self.cloud_deescalate_count}"
             )
-        if self.queue_limit < 1:
-            raise ConfigurationError(f"queue_limit must be >= 1, got {self.queue_limit}",
-                                     "queue_limit")
 
 
 @dataclass(frozen=True)
@@ -188,18 +206,15 @@ class LatencyModel:
     uniform with the configured half-width.
     """
 
-    sensor_ms: float = 3.33
-    gateway_ms: float = 148.15
-    cloud_ms: float = 641.71
+    sensor_ms: float = field(default=3.33, metadata={"interval": "(0, inf)"})
+    gateway_ms: float = field(default=148.15, metadata={"interval": "(0, inf)"})
+    cloud_ms: float = field(default=641.71, metadata={"interval": "(0, inf)"})
     jitter_sensor_ms: float = 0.0
     jitter_gateway_ms: float = 0.0
     jitter_cloud_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        # NaN fails every comparison, so these also reject it
-        for name in ("sensor_ms", "gateway_ms", "cloud_ms"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigurationError(f"latency {name} must be finite and > 0", name)
+        check_intervals(self)
         for mode, jitter, constant in (("S", self.jitter_sensor_ms, self.sensor_ms),
                                        ("G", self.jitter_gateway_ms, self.gateway_ms),
                                        ("C", self.jitter_cloud_ms, self.cloud_ms)):
@@ -229,15 +244,14 @@ class BatteryState:
     consumed, so the level and deadness it derives are read for free.
     """
 
-    capacity_j: float = 18648.0  # 1,400 mAh x 3.7 V
+    capacity_j: float = field(default=18648.0, metadata={"interval": "[0, inf)"})  # 1400 mAh, 3.7 V
     consumed_j: float = 0.0
     level_pct: float = field(init=False)  # remaining charge in [0, 100]
     dead: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.capacity_j < 0:
-            raise ConfigurationError(f"battery capacity must be >= 0 J, got {self.capacity_j}")
-        if not 0 <= self.consumed_j <= max(self.capacity_j, 0):
+        check_intervals(self)
+        if not 0 <= self.consumed_j <= self.capacity_j:
             raise ConfigurationError(
                 f"consumed {self.consumed_j} J outside 0..capacity {self.capacity_j} J"
             )

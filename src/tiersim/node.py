@@ -10,16 +10,15 @@ energy ledger is the engine's job.
 from __future__ import annotations
 
 import enum
-import math
 import sys
 from dataclasses import dataclass, field
 
 from .model import (
     BatteryState,
-    ConfigurationError,
     InferenceMode,
     NodeState,
     SimulationError,
+    check_intervals,
     check_node_id,
 )
 from .energy import EnergyTable
@@ -83,12 +82,11 @@ class PropertyCommand:
     name: str
     method: PropertyMethod = PropertyMethod.SET
     value: object | None = None
-    at_ms: float = 0.0  # when a scenario's command reaches the gateway
+    at_ms: float = field(default=0.0, metadata={"interval": "[0, inf)"})  # arrival at the gateway
 
     def __post_init__(self) -> None:
         check_node_id(self.node_id)  # an unknown node's id is written to the trace
-        if not math.isfinite(self.at_ms) or self.at_ms < 0:  # NaN would stall the event loop
-            raise ConfigurationError(f"at_ms must be finite and >= 0, got {self.at_ms}", "at_ms")
+        check_intervals(self)
 
 
 @dataclass
@@ -106,17 +104,14 @@ class SensorNode:
     state: NodeState = NodeState.INITIAL
     mode: InferenceMode = InferenceMode.SENSOR
     battery: BatteryState = field(default_factory=BatteryState)
-    sleep_period_ms: float = 0.0  # back-to-back windows; battery studies use 30 s
+    # 0 runs back-to-back windows; battery studies use 30 s
+    sleep_period_ms: float = field(default=0.0, metadata={"interval": "[0, inf)"})
     cycle_index: int = 0
     epoch: int = 0  # WORKING spells entered; a duty cycle belongs to one
     # (mode, sleep period, table, steps) of the last cycle planned
     _cycle: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.sleep_period_ms < math.inf:  # NaN fails the comparison too
-            raise ConfigurationError(
-                f"sleep period must be finite and >= 0 ms, got {self.sleep_period_ms}"
-            )
+    __post_init__ = check_intervals
 
     # -- state machine ------------------------------------------------
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .model import ConditionLabel, ConfigurationError, InferenceMode
+from .model import ConditionLabel, ConfigurationError, InferenceMode, check_intervals
 
 _LABELS = tuple(ConditionLabel)
 
@@ -46,20 +46,14 @@ class TierAccuracyProfile:
     """
 
     tier: InferenceMode
-    accuracy: float
-    recall_per_class: tuple[float, float, float, float]
+    accuracy: float = field(metadata={"interval": "[0, 1]"})
+    recall_per_class: tuple[float, float, float, float] = field(metadata={"interval": "[0, 1]"})
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ConfigurationError(f"accuracy must be in [0, 1], got {self.accuracy}",
-                                     "accuracy")
+        check_intervals(self)
         if len(self.recall_per_class) != 4:
             raise ConfigurationError("recall_per_class must have exactly 4 entries",
                                      "recall_per_class")
-        for i, r in enumerate(self.recall_per_class):
-            if not 0.0 <= r <= 1.0:
-                raise ConfigurationError(f"recall must be in [0, 1], got {r}",
-                                         "recall_per_class", i)
 
     @classmethod
     def perfect(cls, tier: InferenceMode) -> "TierAccuracyProfile":
@@ -90,15 +84,12 @@ class GroundTruthProcess:
     """
 
     seed: int = 0
-    anomaly_probability: float = 0.3
-    healthy_split: float = 0.5  # P(GOOD | healthy)
-    degraded_split: float = 0.5  # P(UNSATISFACTORY | anomalous)
+    anomaly_probability: float = field(default=0.3, metadata={"interval": "[0, 1]"})
+    # P(GOOD | healthy) and P(UNSATISFACTORY | anomalous)
+    healthy_split: float = field(default=0.5, metadata={"interval": "[0, 1]"})
+    degraded_split: float = field(default=0.5, metadata={"interval": "[0, 1]"})
 
-    def __post_init__(self) -> None:
-        for name in ("anomaly_probability", "healthy_split", "degraded_split"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigurationError(f"{name} must be in [0, 1], got {value}", name)
+    __post_init__ = check_intervals
 
 
 def draw_ground_truth(process: GroundTruthProcess, step: int) -> ConditionLabel:

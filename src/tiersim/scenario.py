@@ -24,6 +24,7 @@ from .model import (
     HeuristicParams,
     InferenceMode,
     LatencyModel,
+    check_intervals,
     check_node_id,
 )
 from .node import PropertyCommand, PropertyMethod, SensorNode
@@ -34,17 +35,15 @@ from .oracle import DEFAULT_PROFILES, GroundTruthProcess, TierAccuracyProfile
 class NodeConfig:
     node_id: str = "node-0"
     initial_mode: str = "S"
-    battery_capacity_j: float = BatteryState.capacity_j
-    sleep_period_ms: float = SensorNode.sleep_period_ms
+    battery_capacity_j: float = field(default=BatteryState.capacity_j,
+                                      metadata={"interval": "[0, inf)"})
+    sleep_period_ms: float = field(default=SensorNode.sleep_period_ms,
+                                   metadata={"interval": "[0, inf)"})
 
     def __post_init__(self) -> None:
         check_node_id(self.node_id)
         InferenceMode.parse(self.initial_mode, "initial_mode")
-        # NaN fails every comparison, so these also reject it
-        for name in ("battery_capacity_j", "sleep_period_ms"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}", name)
+        check_intervals(self)
 
     def make_battery(self) -> BatteryState:
         return BatteryState(capacity_j=self.battery_capacity_j)
@@ -55,45 +54,40 @@ class Scenario:
     """Validated inputs for one simulation run."""
 
     name: str = "scenario"
-    duration_ms: float = 1_800_000.0  # 30 simulated minutes
+    duration_ms: float = field(default=1_800_000.0,  # 30 simulated minutes
+                               metadata={"interval": "[0, inf)"})
     seed: int = 7
     nodes: tuple[NodeConfig, ...] = (NodeConfig(),)
     # frozen, so every scenario that keeps a default shares one instance
-    params: HeuristicParams = HeuristicParams()
+    params: HeuristicParams = field(default=HeuristicParams(), metadata={"key": "heuristics"})
     energy: EnergyTable = EnergyTable()
     latency: LatencyModel = LatencyModel()
     profiles: dict[InferenceMode, TierAccuracyProfile] = field(
         default_factory=lambda: dict(DEFAULT_PROFILES)
     )
-    anomaly_probability: float = GroundTruthProcess.anomaly_probability
-    healthy_split: float = GroundTruthProcess.healthy_split
-    degraded_split: float = GroundTruthProcess.degraded_split
+    anomaly_probability: float = field(default=GroundTruthProcess.anomaly_probability, metadata={
+        "interval": "[0, 1]", "key": "ground_truth.anomaly_probability"})
+    healthy_split: float = field(default=GroundTruthProcess.healthy_split, metadata={
+        "interval": "[0, 1]", "key": "ground_truth.healthy_split"})
+    degraded_split: float = field(default=GroundTruthProcess.degraded_split, metadata={
+        "interval": "[0, 1]", "key": "ground_truth.degraded_split"})
     anomaly_labels: tuple[int, ...] = (2, 3)
-    poll_enabled: bool = True
-    poll_every_cycles: int = 3
-    empty_poll_fraction: float = 0.1
-    gateway_service_ms: float = 0.0
-    cloud_service_ms: float = 0.0
-    provisioning_stage_ms: float = 100.0
+    poll_enabled: bool = field(default=True, metadata={"key": "poll.enabled"})
+    poll_every_cycles: int = field(
+        default=3, metadata={"interval": "[1, inf)", "key": "poll.every_cycles"})
+    empty_poll_fraction: float = field(
+        default=0.1, metadata={"interval": "[0, 1]", "key": "poll.empty_fraction"})
+    gateway_service_ms: float = field(default=0.0, metadata={"interval": "[0, inf)"})
+    cloud_service_ms: float = field(default=0.0, metadata={"interval": "[0, inf)"})
+    provisioning_stage_ms: float = field(default=100.0, metadata={"interval": "[0, inf)"})
     adaptive: bool = True
-    drop_probability: float = 0.0
-    request_timeout_ms: float = 10_000.0
+    drop_probability: float = field(default=0.0, metadata={"interval": "[0, 1)"})
+    request_timeout_ms: float = field(default=10_000.0, metadata={"interval": "(0, inf)"})
     commands: tuple[PropertyCommand, ...] = ()
     out_dir: str | None = None  # default artifact directory; CLI --out wins
 
     def __post_init__(self) -> None:
-        # NaN fails every comparison, so the time checks below also reject it
-        for name in ("duration_ms", "provisioning_stage_ms", "gateway_service_ms",
-                     "cloud_service_ms"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}", name)
-        if not 0 < self.request_timeout_ms < math.inf:
-            raise ConfigurationError("request_timeout_ms must be finite and > 0, "
-                                     f"got {self.request_timeout_ms}", "request_timeout_ms")
-        if not 0.0 <= self.drop_probability < 1.0:
-            raise ConfigurationError("drop_probability must be in [0, 1), "
-                                     f"got {self.drop_probability}", "drop_probability")
+        check_intervals(self)
         try:  # every stream's seed is derived from the seed's decimal text
             str(self.seed)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
@@ -117,34 +111,9 @@ class Scenario:
             if label not in (0, 1, 2, 3):
                 raise ConfigurationError(f"anomaly label {label} outside 0..3",
                                          "anomaly_labels", i)
-        if self.poll_every_cycles < 1:
-            raise ConfigurationError("poll_every_cycles must be >= 1, "
-                                     f"got {self.poll_every_cycles}", "poll", "every_cycles")
-        if not 0.0 <= self.empty_poll_fraction <= 1.0:
-            raise ConfigurationError("empty_poll_fraction must be in [0, 1], "
-                                     f"got {self.empty_poll_fraction}", "poll", "empty_fraction")
-        try:  # the process's own checks, which the engine repeats per node
-            GroundTruthProcess(anomaly_probability=self.anomaly_probability,
-                               healthy_split=self.healthy_split,
-                               degraded_split=self.degraded_split)
-        except ConfigurationError as err:
-            err.path = ("ground_truth", *err.path)
-            raise
 
 
 # -- JSON loading: the dataclasses above are the schema ---------------------
-
-#: JSON keys of the Scenario fields whose key is not the field name; a
-#: dotted key sits in a group object ("poll.enabled" is {"poll": {"enabled"}}).
-_SCENARIO_KEYS = {
-    "params": "heuristics",
-    "anomaly_probability": "ground_truth.anomaly_probability",
-    "healthy_split": "ground_truth.healthy_split",
-    "degraded_split": "ground_truth.degraded_split",
-    "poll_enabled": "poll.enabled",
-    "poll_every_cycles": "poll.every_cycles",
-    "empty_poll_fraction": "poll.empty_fraction",
-}
 
 #: Keys that a list entry takes, by its index, when it leaves them out.
 _ENTRY_DEFAULTS = {NodeConfig: lambda i: {"node_id": f"node-{i}"}}
@@ -224,15 +193,17 @@ def _coercer(tp, f):
 
 @functools.cache
 def _table(cls) -> dict:
-    """JSON key -> (field name, coercer) for ``cls``; a group maps to a nested table."""
+    """JSON key -> (field name, coercer) for ``cls``; a group maps to a nested table.
+
+    A field's key is its name unless its metadata gives one; a dotted key
+    sits in a group (``poll.enabled`` is ``{"poll": {"enabled": ...}}``)."""
     hints = get_type_hints(cls)
-    keys = _SCENARIO_KEYS if cls is Scenario else {}
     table: dict = {}
     for f in fields(cls):
         coerce = _coercer(hints[f.name], f)
         if coerce is None:
             continue  # set by the document's structure: a profile's tier is its key
-        group, _, key = keys.get(f.name, f.name).rpartition(".")
+        group, _, key = f.metadata.get("key", f.name).rpartition(".")
         (table.setdefault(group, {}) if group else table)[key] = (f.name, coerce)
     return table
 

@@ -6,8 +6,9 @@ import math
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 
@@ -16,6 +17,7 @@ import tiersim.engine
 import tiersim.summary
 from tiersim import (
     DEFAULT_PROFILES,
+    BatteryState,
     ConfigurationError,
     HeuristicParams,
     InferenceMode,
@@ -86,9 +88,6 @@ _CROSS_FIELD = {
     **{("heuristics", f"{key}_count"): ("heuristics",) for key in (
         "sensor_escalate", "gateway_deescalate", "gateway_escalate", "cloud_deescalate")},
     **{("latency", f"jitter_{tier}_ms"): ("latency",) for tier in ("sensor", "gateway", "cloud")},
-    **{("energy", op, key): ("energy", op)
-       for op in ("sampling", "local_inference", "compression", "radio_tx")
-       for key in ("duration_ms", "energy_mj")},
 }
 
 
@@ -110,6 +109,31 @@ def test_every_readme_value_loads_or_is_rejected_at_its_path(bad):
             assert str(err).startswith(f"<scenario>: {text[1:]}: "), str(err)
             checked += 1
     assert checked >= 75  # nearly every value rejects each of the four
+
+
+def _schema_intervals(cls=Scenario, prefix=""):
+    """(JSON key, interval) of each declared interval in the schema, in README's notation."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        key, tp = prefix + f.metadata.get("key", f.name), hints[f.name]
+        origin, args = get_origin(tp), get_args(tp)
+        if "interval" in f.metadata:
+            yield key + ("[i]" if origin is tuple else ""), f.metadata["interval"]
+        elif is_dataclass(tp):
+            yield from _schema_intervals(tp, f"{key}.")
+        elif origin is tuple and is_dataclass(args[0]):
+            yield from _schema_intervals(args[0], f"{key}[i].")
+        elif origin is dict:
+            yield from _schema_intervals(args[1], f"{key}.<tier>.")
+
+
+def test_readme_lists_every_declared_interval():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    documented = [(key, interval) for interval, keys in re.findall(
+                      r"^- `([\[(][^`]*[\])])`: (.*?)(?=^- |^$)", section, re.M | re.S)
+                  for key in re.findall(r"`([^`]+)`", keys)]
+    assert sorted(documented) == sorted(_schema_intervals())
 
 
 def test_scenario_overrides_apply(tmp_path):
@@ -201,17 +225,17 @@ def test_documents_merge_onto_shared_frozen_defaults_without_changing_them():
 def test_invalid_values_rejected():
     # every message names its JSON path once, right after the source
     with pytest.raises(ConfigurationError, match=re.escape(
-            "<scenario>: duration_ms: duration_ms must be finite and >= 0, got -1.0")):
+            "<scenario>: duration_ms: duration_ms must be in [0, inf), got -1.0")):
         scenario_from_dict({"duration_ms": -1})
-    with pytest.raises(ConfigurationError, match=re.escape("<scenario>: provisioning_stage_ms: "
-                                                           "provisioning_stage_ms must be finite "
-                                                           "and >= 0, got -5.0")):
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "<scenario>: provisioning_stage_ms: provisioning_stage_ms must be in [0, inf), "
+            "got -5.0")):
         scenario_from_dict({"provisioning_stage_ms": -5})
     with pytest.raises(ConfigurationError, match=re.escape(
             "<scenario>: drop_probability: drop_probability must be in [0, 1), got 1.5")):
         scenario_from_dict({"drop_probability": 1.5})
     with pytest.raises(ConfigurationError, match=re.escape(
-            "<scenario>: request_timeout_ms: request_timeout_ms must be finite and > 0, got 0.0")):
+            "<scenario>: request_timeout_ms: request_timeout_ms must be in (0, inf), got 0.0")):
         scenario_from_dict({"request_timeout_ms": 0})
     with pytest.raises(ConfigurationError,
                        match=r"^<scenario>: nodes\[0\]\.initial_mode: unknown inference"):
@@ -223,15 +247,16 @@ def test_invalid_values_rejected():
     with pytest.raises(ConfigurationError,
                        match=r"^<scenario>: nodes\[1\]\.node_id: node id 'a,b'"):
         scenario_from_dict({"nodes": [{}, {"node_id": "a,b"}]})  # would corrupt the CSV
-    with pytest.raises(ConfigurationError, match=r"^<scenario>: energy\.radio_tx: operation"):
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "<scenario>: energy.radio_tx.energy_mj: energy_mj must be in (0, inf), got -1.0")):
         scenario_from_dict({"energy": {"radio_tx": {"energy_mj": -1}}})
     with pytest.raises(ConfigurationError, match=r"^<scenario>: nodes\[1\]: duplicate node id 'a'"):
         scenario_from_dict({"nodes": [{"node_id": "a"}, {"node_id": "a"}]})
     with pytest.raises(ConfigurationError, match=re.escape(
-            "<scenario>: poll.every_cycles: poll_every_cycles must be >= 1, got 0")):
+            "<scenario>: poll.every_cycles: every_cycles must be in [1, inf), got 0")):
         scenario_from_dict({"poll": {"every_cycles": 0}})
     with pytest.raises(ConfigurationError, match=re.escape(
-            "<scenario>: cloud_service_ms: cloud_service_ms must be finite and >= 0, got -1.0")):
+            "<scenario>: cloud_service_ms: cloud_service_ms must be in [0, inf), got -1.0")):
         scenario_from_dict({"cloud_service_ms": -1})
     # built in Python, past the loader: a document's profiles merge onto the defaults
     with pytest.raises(ConfigurationError, match="missing accuracy profile for mode S"):
@@ -319,6 +344,9 @@ def test_profile_filed_under_another_tiers_key_is_rejected():
     (NodeConfig, "battery_capacity_j"),
     (lambda **kwargs: SensorNode("n0", **kwargs), "sleep_period_ms"),
     *((LatencyModel, f.name) for f in fields(LatencyModel)),
+    (Scenario, "poll_every_cycles"),  # never polled: (cycle + 1) % nan is never 0
+    (HeuristicParams, "queue_limit"),
+    (BatteryState, "capacity_j"),  # an infinite battery stayed at 100 % and never died
 ])
 def test_library_constructors_reject_non_finite_values(make, name, bad):
     # the loader rejects these too, but objects built in Python skip it

@@ -56,8 +56,9 @@ def test_non_finite_costs_are_rejected(bad):
 
 def test_sleep_energy_30s_is_1_11_mj():
     assert TABLE.sleep_energy_mj(30_000.0) == pytest.approx(1.11, abs=1e-9)
-    with pytest.raises(ConfigurationError, match="sleep duration must be >= 0 ms, got -1.0"):
-        TABLE.sleep_energy_mj(-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ConfigurationError, match=f"sleep duration must be >= 0 ms, got {bad}"):
+            TABLE.sleep_energy_mj(bad)
 
 
 def test_onboard_cycle_energy_exact():
@@ -76,8 +77,11 @@ def test_cycle_energy_zero_sleep():
 def test_cycle_durations_exact():
     assert cycle_duration(S, 30_000.0, TABLE) == 40_014.0
     assert cycle_duration(G, 30_000.0, TABLE) == 44_750.0
-    with pytest.raises(ConfigurationError, match="sleep duration must be >= 0 ms, got -1.0"):
-        cycle_duration(S, -1.0, TABLE)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ConfigurationError, match=f"sleep duration must be >= 0 ms, got {bad}"):
+            cycle_duration(S, bad, TABLE)
+        with pytest.raises(ConfigurationError, match=f"sleep duration must be >= 0 ms, got {bad}"):
+            battery_life_bound(BatteryState(), S, bad, TABLE)
 
 
 def test_battery_life_bounds():

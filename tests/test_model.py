@@ -1,11 +1,15 @@
 """Tests for the shared domain value types."""
 
 import dataclasses
+import importlib
+import math
+import pkgutil
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import tiersim
 from tiersim import (
     AnomalyTracker,
     BatteryState,
@@ -73,8 +77,11 @@ def test_battery_zero_capacity_is_dead():
 def test_battery_validation():
     with pytest.raises(ConfigurationError):
         BatteryState(capacity_j=10.0, consumed_j=11.0)
-    with pytest.raises(ConfigurationError, match="battery capacity must be >= 0 J, got -1.0"):
-        BatteryState(capacity_j=-1.0)
+    for capacity in (-1.0, math.nan):
+        with pytest.raises(ConfigurationError,
+                           match=rf"capacity_j must be in \[0, inf\), got {capacity}") as info:
+            BatteryState(capacity_j=capacity)
+        assert info.value.path == ("capacity_j",)
 
 
 # 100 * c / c rounds to 100.00000000000001 for this capacity
@@ -124,3 +131,58 @@ def test_params_validation(kwargs):
 
 def test_condition_labels():
     assert [label.value for label in ConditionLabel] == [0, 1, 2, 3]
+
+
+#: Values for the fields a declaring type requires, where its defaults do not serve.
+_REQUIRED = {
+    "OperationCost": {"duration_ms": 1.0, "energy_mj": 1.0},
+    "TierAccuracyProfile": {"tier": S, "accuracy": 1.0, "recall_per_class": (1.0,) * 4},
+    "PropertyCommand": {"node_id": "n0", "name": "state"},
+    "SensorNode": {"node_id": "n0"},
+}
+
+
+def _declared_fields():
+    """(type, field) of every field that declares an interval, in every tiersim module."""
+    for info in pkgutil.iter_modules(tiersim.__path__):
+        module = importlib.import_module(f"tiersim.{info.name}")
+        for cls in vars(module).values():
+            if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__:
+                for f in dataclasses.fields(cls):
+                    if "interval" in f.metadata:
+                        yield cls, f
+
+
+def test_every_value_type_declares_its_intervals():
+    assert {cls.__name__ for cls, _ in _declared_fields()} == {
+        "AnomalyTracker", "HeuristicParams", "LatencyModel", "BatteryState", "OperationCost",
+        "EnergyTable", "TierAccuracyProfile", "GroundTruthProcess", "PropertyCommand",
+        "SensorNode", "NodeConfig", "Scenario"}
+
+
+@pytest.mark.parametrize("cls, f", list(_declared_fields()),
+                         ids=lambda x: getattr(x, "__name__", getattr(x, "name", None)))
+def test_each_bound_admits_its_inside_and_rejects_its_outside_at_the_key(cls, f):
+    interval = f.metadata["interval"]
+    low, high = map(float, interval[1:-1].split(","))
+    cases = [(math.nan, False)]
+    for bound, closed, outward in ((low, interval[0] == "[", -math.inf),
+                                   (high, interval[-1] == "]", math.inf)):
+        cases += [(math.nextafter(bound, -outward), True), (bound, closed),
+                  (math.nextafter(bound, outward), False)]  # inf's next float is inf
+    base = _REQUIRED.get(cls.__name__, {})
+    path = tuple(f.metadata.get("key", f.name).split("."))
+    default = base.get(f.name, f.default)
+    # a tuple field is checked item by item, each at a path that carries its index
+    where = ([(path + (i,), lambda v, i=i: (*default[:i], v, *default[i + 1:]))
+              for i in range(len(default))] if isinstance(default, tuple)
+             else [(path, lambda v: v)])
+    for value, inside in cases:
+        for at, substitute in where:
+            try:
+                cls(**{**base, f.name: substitute(value)})
+            except ConfigurationError as err:
+                # inside, only a check that relates this field to another may refuse it
+                assert err.path[:len(at)] != at if inside else err.path == at, (value, str(err))
+            else:
+                assert inside, value

@@ -78,7 +78,7 @@ def cmd(name, method, value=None):
 
 def test_command_time_must_be_finite_and_non_negative():
     for at_ms in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigurationError, match="at_ms must be finite"):
+        with pytest.raises(ConfigurationError, match=r"at_ms must be in \[0, inf\), got "):
             PropertyCommand("n0", "state", at_ms=at_ms)
 
 

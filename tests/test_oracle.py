@@ -75,7 +75,8 @@ def test_profile_validation():
         TierAccuracyProfile(S, 1.5, (1.0, 1.0, 1.0, 1.0))
     with pytest.raises(Exception):
         TierAccuracyProfile(S, 0.9, (1.0, 1.0, 1.0))
-    with pytest.raises(ConfigurationError, match=r"recall must be in \[0, 1\], got 1.5"):
+    with pytest.raises(ConfigurationError,
+                       match=r"recall_per_class\[1\] must be in \[0, 1\], got 1.5"):
         TierAccuracyProfile(S, 0.9, (1.0, 1.5, 1.0, 1.0))
 
 
